@@ -15,6 +15,10 @@ converged on a structure):
 * it is dramatically faster wherever Python overhead (not raw memory
   bandwidth) dominates.
 
+A mixed batch cycling through every activation the search space emits
+(``DEFAULT_ACTIVATIONS``) then checks each fused kernel against the oracle
+bit for bit.
+
 Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step; the legacy
 ``HEAD_BENCH_IDENTITY_ONLY`` still works) skips the wall-clock assertion
 while keeping the identity check.  Like the parallel search benchmark, the
@@ -24,7 +28,8 @@ prints the measured ratio (identity is still asserted), 2-3 cores require
 accelerates the stacked GEMMs while the interpreted autograd loop stays
 serial).
 
-A second pass re-runs the fused trainer on the ``numpy-float32`` backend:
+A last pass re-runs the fused trainer on the ``numpy-float32`` backend, over
+the mixed-activation batch:
 its results must *diverge* from float64 (proving the precision switch is
 live) while staying inside the backend's documented ``TOLERANCES``
 contract (:mod:`repro.core.backend`).
@@ -36,7 +41,7 @@ import time
 import numpy as np
 
 from repro.bench import identity_only
-from repro.core import HeadTrainConfig
+from repro.core import DEFAULT_ACTIVATIONS, HeadTrainConfig
 from repro.core.backend import assert_backend_close, get_backend
 from repro.core.fusing import MuffinHead
 from repro.core.trainer import train_head_on_outputs, train_heads_batched
@@ -58,11 +63,29 @@ def _workload():
     return outputs, labels, weights
 
 
-def _fresh_heads():
+def _fresh_heads(activations=("relu",)):
+    """One episode batch of fresh heads cycling through ``activations``."""
     return [
-        MuffinHead(BODY_DIM, NUM_CLASSES, HIDDEN_SIZES, "relu", seed=index)
+        MuffinHead(
+            BODY_DIM,
+            NUM_CLASSES,
+            HIDDEN_SIZES,
+            activations[index % len(activations)],
+            seed=index,
+        )
         for index in range(NUM_CANDIDATES)
     ]
+
+
+def _assert_identical(ref_heads, ref_results, fused_heads, fused_results):
+    for ref_head, ref_result, fused_head, fused_result in zip(
+        ref_heads, ref_results, fused_heads, fused_results
+    ):
+        assert ref_result.losses == fused_result.losses
+        ref_state, fused_state = ref_head.state_dict(), fused_head.state_dict()
+        assert set(ref_state) == set(fused_state)
+        for key in ref_state:
+            assert np.array_equal(ref_state[key], fused_state[key]), key
 
 
 def test_bench_head_training_identity_and_speed():
@@ -92,14 +115,7 @@ def test_bench_head_training_identity_and_speed():
         fused_seconds = min(fused_seconds, time.perf_counter() - start)
 
     # Identity first: the speedup is worthless if a single bit drifts.
-    for ref_head, ref_result, fused_head, fused_result in zip(
-        autograd_heads, autograd_results, fused_heads, fused_results
-    ):
-        assert ref_result.losses == fused_result.losses
-        ref_state, fused_state = ref_head.state_dict(), fused_head.state_dict()
-        assert set(ref_state) == set(fused_state)
-        for key in ref_state:
-            assert np.array_equal(ref_state[key], fused_state[key]), key
+    _assert_identical(autograd_heads, autograd_results, fused_heads, fused_results)
 
     speedup = autograd_seconds / max(fused_seconds, 1e-9)
     cpus = os.cpu_count() or 1
@@ -132,6 +148,23 @@ def test_bench_head_training_identity_and_speed():
     )
 
 
+def test_bench_head_training_identity_every_activation():
+    """Every fused activation kernel matches the autograd oracle bit for bit."""
+    outputs, labels, weights = _workload()
+    autograd_config = HeadTrainConfig(epochs=EPOCHS, seed=0, use_fused=False)
+    fused_config = HeadTrainConfig(epochs=EPOCHS, seed=0, use_fused=True)
+    autograd_heads = _fresh_heads(DEFAULT_ACTIVATIONS)
+    autograd_results = [
+        train_head_on_outputs(head, matrix, labels, weights, NUM_CLASSES, autograd_config)
+        for head, matrix in zip(autograd_heads, outputs)
+    ]
+    fused_heads = _fresh_heads(DEFAULT_ACTIVATIONS)
+    fused_results = train_heads_batched(
+        fused_heads, outputs, labels, weights, NUM_CLASSES, fused_config
+    )
+    _assert_identical(autograd_heads, autograd_results, fused_heads, fused_results)
+
+
 #: The ``head_weights`` tolerance is calibrated for ~10-epoch training (see
 #: :data:`repro.core.backend.TOLERANCES`): beyond that, minibatch SGD
 #: amplifies float32 rounding chaotically in *weight* space while the loss
@@ -142,7 +175,7 @@ WEIGHT_CONTRACT_EPOCHS = 10
 def _train_fused(backend, epochs):
     outputs, labels, weights = _workload()
     config = HeadTrainConfig(epochs=epochs, seed=0, use_fused=True, backend=backend)
-    heads = _fresh_heads()
+    heads = _fresh_heads(DEFAULT_ACTIVATIONS)
     start = time.perf_counter()
     results = train_heads_batched(heads, outputs, labels, weights, NUM_CLASSES, config)
     return heads, results, time.perf_counter() - start

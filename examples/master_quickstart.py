@@ -45,7 +45,7 @@ def build_spec() -> RunSpec:
     """A small but multi-batch search so a worker kill lands mid-run.
 
     ``use_fused=False`` routes every head training through the executor —
-    the fused ReLU fast path would otherwise train in-process and the
+    the fused fast path would otherwise train in-process and the
     workers would sit idle.
     """
     return RunSpec(

@@ -122,12 +122,17 @@ def _verdict(backend, checks) -> "tuple":
 # Benchmark: fused batched head training vs the autograd oracle
 # ----------------------------------------------------------------------
 def bench_head_training(backend: str, rounds: int) -> BenchRecord:
-    """Fused batched trainer under ``backend`` vs the float64 autograd loop."""
+    """Fused batched trainer under ``backend`` vs the float64 autograd loop.
+
+    One head per searched activation, so every fused kernel is checked
+    against the oracle.
+    """
     from .core.backend import assert_backend_close
     from .core.fusing import MuffinHead
+    from .core.search_space import DEFAULT_ACTIVATIONS
     from .core.trainer import HeadTrainConfig, train_head_on_outputs, train_heads_batched
 
-    num_heads, body_dim, num_classes, proxy, epochs = 4, 24, 8, 800, 10
+    num_heads, body_dim, num_classes, proxy, epochs = len(DEFAULT_ACTIVATIONS), 24, 8, 800, 10
     rng = np.random.default_rng(2023)
     labels = rng.integers(0, num_classes, proxy)
     weights = rng.random(proxy) + 0.1
@@ -135,8 +140,8 @@ def bench_head_training(backend: str, rounds: int) -> BenchRecord:
 
     def fresh_heads():
         return [
-            MuffinHead(body_dim, num_classes, (16,), "relu", seed=index)
-            for index in range(num_heads)
+            MuffinHead(body_dim, num_classes, (16,), activation, seed=index)
+            for index, activation in enumerate(DEFAULT_ACTIVATIONS)
         ]
 
     oracle_config = HeadTrainConfig(epochs=epochs, seed=0, use_fused=False)

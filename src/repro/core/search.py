@@ -546,11 +546,12 @@ def evaluate_task_batch(tasks: Sequence[EvaluationTask]) -> List[EvaluationOutco
     Tasks sharing one proxy (labels, weights, training config — the normal
     case: every episode of a batch trains on the same proxy dataset) are
     trained *simultaneously* by :func:`~repro.core.trainer.train_heads_batched`,
-    which stacks same-shape candidate heads into flat ``(C, P)`` parameter
-    blocks and runs one batched forward/backward per minibatch.  Heads the
-    fused kernels cannot express (non-ReLU activations) fall back to the
-    per-task path inside the batched trainer.  Outcomes are **bit-identical**
-    to mapping :func:`evaluate_task` over the tasks, in input order.
+    which stacks same-signature candidate heads into flat ``(C, P)`` parameter
+    blocks and runs one batched forward/backward per minibatch.  Every head
+    the search space emits is fused; heads the kernels cannot express
+    (dropout, plugin layers) fall back to the autograd loop inside the
+    batched trainer.  Outcomes are **bit-identical** to mapping
+    :func:`evaluate_task` over the tasks, in input order.
     """
     tasks = [resolve_task_arrays(task) for task in tasks]
     outcomes: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
@@ -798,9 +799,12 @@ class MuffinSearch:
 
         Duplicate ``(candidate, seed)`` keys — within the batch or across
         earlier evaluations — are answered from the memo without retraining.
-        The unique remainder is dispatched through ``executor`` (default:
-        the one named by ``search_config.executor``); records always come
-        back in input order regardless of completion order.  ``memoize``
+        The unique remainder trains as one batch through the fused kernels
+        (:func:`evaluate_task_batch`) on the calling thread; only under
+        ``head_config.use_fused=False`` (the autograd oracle) is it
+        dispatched per candidate through ``executor`` (default: the one
+        named by ``search_config.executor``).  Records always come back in
+        input order regardless of completion order.  ``memoize``
         can force-disable the memo for this batch (``search_config.memoize``
         always wins when False); ``run()`` disables it under the 'episode'
         seed strategy, whose fresh per-episode seeds can never hit.
@@ -833,56 +837,37 @@ class MuffinSearch:
         if to_evaluate:
             tasks = [self._task_for(candidate, seed) for candidate, seed in to_evaluate]
             train_start = time.perf_counter()
-            # Partition: ReLU heads are Linear/ReLU stacks the fused batched
-            # kernels express, so they train simultaneously on the calling
-            # thread (nothing left to parallelise); everything else — other
-            # activations, or the whole batch under use_fused=False — keeps
-            # the per-candidate autograd path dispatched through the
-            # executor.  Results are bit-identical either way, so the split
-            # only moves wall-clock.
-            use_fused = self.head_config.use_fused
-            fused_indices = [
-                index
-                for index, task in enumerate(tasks)
-                if use_fused and task.activation == "relu"
-            ]
-            fused_index_set = set(fused_indices)
-            other_indices = [
-                index for index in range(len(tasks)) if index not in fused_index_set
-            ]
-            placed: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
-            if fused_indices:
-                for index, outcome in zip(
-                    fused_indices, evaluate_task_batch([tasks[i] for i in fused_indices])
-                ):
-                    placed[index] = outcome
-            if other_indices:
+            # Under use_fused the whole batch trains simultaneously through
+            # the fused batched kernels on the calling thread (nothing left
+            # to parallelise); only the oracle (use_fused=False) dispatches
+            # per-candidate autograd training through the executor.  Results
+            # are bit-identical either way, so the choice only moves
+            # wall-clock.
+            if self.head_config.use_fused:
+                outcomes = evaluate_task_batch(tasks)
+            else:
                 own_executor = executor is None
                 if own_executor:
                     executor = build_executor(
                         self.search_config.executor, self.search_config.max_workers
                     )
-                send_tasks = [tasks[i] for i in other_indices]
                 # Process-crossing executors advertise it; their tasks swap
                 # ndarray payloads for shared-memory descriptors so each
                 # cached matrix crosses the boundary as a ~100-byte triple.
                 if getattr(executor, "ships_tasks_across_processes", False):
-                    send_tasks = [self._ship_task(task) for task in send_tasks]
-                    for task in send_tasks:
+                    tasks = [self._ship_task(task) for task in tasks]
+                    for task in tasks:
                         raw, shipped = task_payload_bytes(task)
                         self.task_bytes_raw += raw
                         self.task_bytes_shipped += shipped
                         _TASK_BYTES_TOTAL.inc(raw, kind="raw")
                         _TASK_BYTES_TOTAL.inc(shipped, kind="shipped")
                 try:
-                    mapped = executor.map(evaluate_task, send_tasks)
+                    outcomes = list(executor.map(evaluate_task, tasks))
                 finally:
                     if own_executor:
                         executor.shutdown()
                         self._cache.release_shared_segments()
-                for index, outcome in zip(other_indices, mapped):
-                    placed[index] = outcome
-            outcomes = [outcome for outcome in placed if outcome is not None]
             self.train_seconds += time.perf_counter() - train_start
 
         fresh_records = self._records_from_outcomes(

@@ -12,12 +12,12 @@ Two implementations produce bit-identical results:
   :mod:`repro.nn.tensor`, kept as the always-correct oracle for any head
   structure;
 * the **fused fast path** — the closed-form kernels of
-  :mod:`repro.nn.fused`, used automatically for eligible heads (pure
-  Linear/ReLU stacks, which is every ``relu`` candidate the search space
-  produces).  :func:`train_heads_batched` extends it across a whole episode
-  batch, training C candidate heads simultaneously on stacked ``(C, in,
-  out)`` parameter blocks — one batched forward/backward per minibatch for
-  the entire batch.
+  :mod:`repro.nn.fused`, used automatically for eligible heads (pure MLP
+  stacks with one ReLU, tanh, LeakyReLU or sigmoid activation, which is
+  every candidate the search space produces).  :func:`train_heads_batched`
+  trains C candidate heads simultaneously on stacked ``(C, in, out)``
+  parameter blocks — one batched forward/backward per minibatch for the
+  entire batch; a single head is its ``C == 1`` case.
 
 ``HeadTrainConfig.use_fused`` is the escape hatch: ``False`` forces the
 autograd path everywhere (and restores per-candidate dispatch through the
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import nn
-from ..nn.fused import extract_fused_stack, train_linear_relu_stacks
+from ..nn.fused import extract_fused_stack, train_mlp_stacks
 from ..utils.rng import get_rng
 from .backend import DEFAULT_BACKEND, get_backend
 from .fusing import FusedModel
@@ -52,10 +52,12 @@ class HeadTrainConfig:
     loss: str = "weighted_mse"
     seed: int = 0
     verbose: bool = False
-    #: dispatch eligible heads (pure Linear/ReLU stacks) to the graph-free
-    #: fused kernels of :mod:`repro.nn.fused`.  Results are bit-identical to
-    #: the autograd path; ``False`` forces the closure-based reference loop
-    #: (and, in the search, per-candidate dispatch through the executor).
+    #: dispatch eligible heads (MLP stacks with one ReLU, tanh, LeakyReLU or
+    #: sigmoid activation — every head the search space emits) to the
+    #: graph-free fused kernels of :mod:`repro.nn.fused`.  Results are
+    #: bit-identical to the autograd path; ``False`` forces the closure-based
+    #: reference loop (and, in the search, per-candidate dispatch through
+    #: the executor).
     use_fused: bool = True
     #: array backend the fused kernels run on (``repro.core.backend.BACKENDS``
     #: name).  The default is bit-identical to the autograd oracle; the
@@ -164,47 +166,12 @@ def train_head_on_outputs(
     touches no live model or dataset objects — so the search loop can run it
     concurrently on threads or worker processes with bit-identical results.
 
-    Heads that are pure Linear/ReLU stacks take the fused closed-form fast
-    path (:mod:`repro.nn.fused`) unless ``config.use_fused`` is ``False``;
-    anything else falls back to the autograd reference loop.  Both paths
-    return bit-identical weights and loss curves.
+    It is the ``C == 1`` case of :func:`train_heads_batched`, which owns the
+    fused-or-oracle decision.
     """
-    config = config or HeadTrainConfig()
-
-    body_outputs = np.asarray(body_outputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(sample_weights, dtype=np.float64)
-    _validate_training_inputs(body_outputs, labels, weights)
-
-    if config.use_fused:
-        stack = extract_fused_stack(head)
-        if stack is not None:
-            curves = train_linear_relu_stacks(
-                [stack],
-                [body_outputs],
-                labels,
-                weights,
-                num_classes,
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                lr=config.lr,
-                weight_decay=config.weight_decay,
-                optimizer=config.optimizer,
-                loss=config.loss,
-                seed=config.seed,
-                backend=config.backend,
-            )
-            result = HeadTrainResult(
-                losses=curves[0], proxy_size=labels.shape[0], epochs=config.epochs
-            )
-            if config.verbose:
-                for epoch, value in enumerate(result.losses):
-                    print(
-                        f"[muffin-head] epoch {epoch + 1}/{config.epochs} loss={value:.5f}"
-                    )
-            return result
-
-    return _train_head_autograd(head, body_outputs, labels, weights, num_classes, config)
+    return train_heads_batched(
+        [head], [body_outputs], labels, sample_weights, num_classes, config
+    )[0]
 
 
 def train_heads_batched(
@@ -220,17 +187,17 @@ def train_heads_batched(
     ``heads[c]`` is trained on ``body_outputs[c]`` (its own concatenated
     body-probability matrix — candidates select different model subsets, so
     widths may differ) against the shared ``labels``/``sample_weights`` of
-    the episode batch's proxy dataset.  Heads are grouped by layer-shape
-    signature; each group's parameters are stacked into flat ``(C, P)``
-    buffers and trained with one batched forward/backward per minibatch
-    (:func:`repro.nn.fused.train_linear_relu_stacks`).
+    the episode batch's proxy dataset.  Heads are grouped by signature
+    (layer shapes and activation); each group's parameters are stacked into
+    flat ``(C, P)`` buffers and trained with one batched forward/backward
+    per minibatch (:func:`repro.nn.fused.train_mlp_stacks`).
 
-    Results are **bit-identical** to calling :func:`train_head_on_outputs`
-    on each head alone: all heads share ``config`` (hence the same seeded
+    Results are **bit-identical** to training each head alone on the
+    autograd oracle: all heads share ``config`` (hence the same seeded
     shuffle stream), and the batched kernels replicate the autograd op order
-    per candidate.  Heads that are not pure Linear/ReLU stacks — or every
-    head, when ``config.use_fused`` is ``False`` — fall back to the per-head
-    path transparently.
+    per candidate.  Heads the kernels cannot express (dropout, plugin
+    layers) — or every head, when ``config.use_fused`` is ``False`` — train
+    on the autograd loop one at a time.
     """
     config = config or HeadTrainConfig()
     heads = list(heads)
@@ -249,14 +216,14 @@ def train_heads_batched(
         stack = extract_fused_stack(head) if config.use_fused else None
         stacks.append(stack)
         if stack is None:
-            results[index] = train_head_on_outputs(
+            results[index] = _train_head_autograd(
                 head, matrices[index], labels, weights, num_classes, config
             )
         else:
-            groups.setdefault(stack.shapes, []).append(index)
+            groups.setdefault(stack.signature, []).append(index)
 
     for indices in groups.values():
-        curves = train_linear_relu_stacks(
+        curves = train_mlp_stacks(
             [stacks[i] for i in indices],
             [matrices[i] for i in indices],
             labels,
@@ -275,6 +242,9 @@ def train_heads_batched(
             results[index] = HeadTrainResult(
                 losses=curve, proxy_size=labels.shape[0], epochs=config.epochs
             )
+            if config.verbose:
+                for epoch, value in enumerate(curve):
+                    print(f"[muffin-head] epoch {epoch + 1}/{config.epochs} loss={value:.5f}")
     return [result for result in results if result is not None]
 
 

@@ -1,8 +1,9 @@
-"""Graph-free fused training kernels for Linear/ReLU MLP stacks.
+"""Graph-free fused training kernels for muffin-head MLP stacks.
 
-The muffin head is a small Linear/ReLU MLP trained with the Equation-2
-weighted-MSE loss (or the weighted cross-entropy ablation).  Pushing every
-minibatch through the closure-based autograd graph of
+The muffin head is a small MLP — ``Linear`` layers joined by one of the
+searched activations (ReLU, tanh, LeakyReLU, sigmoid) — trained with the
+Equation-2 weighted-MSE loss (or the weighted cross-entropy ablation).
+Pushing every minibatch through the closure-based autograd graph of
 :mod:`repro.nn.tensor` pays Python-level overhead per op, per parameter,
 per batch, per epoch — for a model whose whole forward/backward is a
 handful of GEMMs.  This module hand-derives the closed-form forward and
@@ -15,20 +16,22 @@ property :mod:`tests.test_nn_fused` asserts across randomized
 configurations.
 
 All kernels carry a leading candidate axis ``C``: C heads with the same
-layer shapes train *simultaneously*, their parameters packed into one flat
-contiguous ``(C, P)`` buffer whose per-layer views are ``(C, in, out)``
-weight blocks.  numpy's stacked matmul dispatches the same per-slice BLAS
-GEMM a 2-D call would (each candidate's block is a contiguous 2-D matrix),
-so the batched path stays bit-identical to training each head alone while
-amortising the Python interpreter and the optimiser bookkeeping across the
-whole episode batch.  A single head is simply the ``C == 1`` case.
+layer shapes and activation train *simultaneously*, their parameters
+packed into one flat contiguous ``(C, P)`` buffer whose per-layer views
+are ``(C, in, out)`` weight blocks.  numpy's stacked matmul dispatches the
+same per-slice BLAS GEMM a 2-D call would (each candidate's block is a
+contiguous 2-D matrix), so the batched path stays bit-identical to
+training each head alone while amortising the Python interpreter and the
+optimiser bookkeeping across the whole episode batch.  A single head is
+simply the ``C == 1`` case.
 
 Eligibility is structural, not nominal: :func:`extract_fused_stack` walks a
-module tree and succeeds only for a pure ``Linear (ReLU Linear)*`` chain
-with biases (optionally reached through ``Sequential`` / ``MLP`` containers
-or a module declaring ``fused_delegate``).  Anything else — other
-activations, dropout, custom layers — returns ``None`` and the caller keeps
-the autograd path, so the fast path can never silently change results.
+module tree and succeeds only for a pure ``Linear (Act Linear)*`` chain
+with biases and one activation type throughout (optionally reached through
+``Sequential`` / ``MLP`` containers or a module declaring
+``fused_delegate``).  Anything else — mixed activations, dropout, custom
+layers — returns ``None`` and the caller keeps the autograd path, so the
+fast path can never silently change results.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modules import MLP, Linear, Module, ReLU, Sequential
+from .modules import MLP, LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
 
 
 def _resolve_backend(backend):
@@ -55,8 +58,49 @@ __all__ = [
     "FusedAdam",
     "FusedSGD",
     "extract_fused_stack",
-    "train_linear_relu_stacks",
+    "train_mlp_stacks",
 ]
+
+
+# ----------------------------------------------------------------------
+# Activation kernels
+# ----------------------------------------------------------------------
+# Each kernel maps the pre-activation ``z`` to ``(a, factors)``; the
+# backward multiplies the incoming gradient by ``factors`` left to right.
+# Both halves copy the module's autograd closure in :mod:`repro.nn.tensor`
+# op for op, which is what keeps the fused path bit-identical.
+def _relu(z, negative_slope):
+    # The mask multiply — not ``np.maximum`` — preserves signed zeros.
+    mask = (z > 0).astype(z.dtype)
+    return z * mask, (mask,)
+
+
+def _leaky_relu(z, negative_slope):
+    # ``np.where`` widens to float64; cast so float32 blocks stay float32
+    # (a no-op on float64 blocks).
+    mask = np.where(z > 0, 1.0, negative_slope).astype(z.dtype, copy=False)
+    return z * mask, (mask,)
+
+
+def _sigmoid(z, negative_slope):
+    a = 1.0 / (1.0 + np.exp(-z))
+    return a, (a, 1.0 - a)
+
+
+def _tanh(z, negative_slope):
+    a = np.tanh(z)
+    return a, (1.0 - a ** 2,)
+
+
+#: activation module type -> (name, kernel); exact types only, so a subclass
+#: with a different forward can never take a kernel it does not match
+_ACTIVATION_KERNELS = {
+    ReLU: ("relu", _relu),
+    LeakyReLU: ("leaky_relu", _leaky_relu),
+    Sigmoid: ("sigmoid", _sigmoid),
+    Tanh: ("tanh", _tanh),
+}
+_KERNELS_BY_NAME = dict(_ACTIVATION_KERNELS.values())
 
 
 # ----------------------------------------------------------------------
@@ -64,18 +108,31 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass
 class FusedStack:
-    """The ordered ``Linear`` layers of one eligible Linear/ReLU MLP."""
+    """The ordered ``Linear`` layers and the activation of one eligible MLP."""
 
     linears: List[Linear]
+    #: hidden activation name; ``None`` for a single ``Linear`` (no hidden layer)
+    activation: Optional[str] = None
+    #: the LeakyReLU ``negative_slope``; ``None`` for every other activation
+    negative_slope: Optional[float] = None
 
     @property
     def shapes(self) -> Tuple[Tuple[int, int], ...]:
-        """Per-layer ``(in_features, out_features)`` — the grouping key."""
+        """Per-layer ``(in_features, out_features)``."""
         return tuple((lin.in_features, lin.out_features) for lin in self.linears)
+
+    @property
+    def signature(self) -> tuple:
+        """``(shapes, activation, negative_slope)`` — the batching key."""
+        return (self.shapes, self.activation, self.negative_slope)
 
     @property
     def num_parameters(self) -> int:
         return sum(fin * fout + fout for fin, fout in self.shapes)
+
+    def activate(self, z: np.ndarray):
+        """The hidden activation kernel: ``z`` -> ``(a, backward factors)``."""
+        return _KERNELS_BY_NAME[self.activation](z, self.negative_slope)
 
 
 def _flatten_layers(module: Module) -> Optional[List[Module]]:
@@ -88,7 +145,7 @@ def _flatten_layers(module: Module) -> Optional[List[Module]]:
     chain makes the whole stack ineligible rather than risking a silently
     different forward.
     """
-    if isinstance(module, (Linear, ReLU)):
+    if isinstance(module, Linear) or type(module) in _ACTIVATION_KERNELS:
         return [module]
     if isinstance(module, MLP):
         return _flatten_layers(module.body)
@@ -109,32 +166,35 @@ def _flatten_layers(module: Module) -> Optional[List[Module]]:
 
 
 def extract_fused_stack(module: Module) -> Optional[FusedStack]:
-    """Return the module's Linear/ReLU stack if it is fusion-eligible.
+    """Return the module's MLP stack if it is fusion-eligible.
 
     Eligible means the flattened layer sequence is exactly
-    ``Linear (ReLU Linear)*`` and every ``Linear`` has a bias — the shape of
-    every muffin head the search space produces with the ``relu``
-    activation.  Returns ``None`` (caller keeps the autograd path) for
-    anything else.
+    ``Linear (Act Linear)*`` with one activation throughout (ReLU, tanh,
+    sigmoid, or LeakyReLU with one ``negative_slope``) and every ``Linear``
+    has a bias — the shape of every muffin head the search space produces.
+    Returns ``None`` (caller keeps the autograd path) for anything else.
     """
     layers = _flatten_layers(module)
     if not layers:
         return None
     linears: List[Linear] = []
+    activations = set()
     expect_linear = True
     for layer in layers:
         if expect_linear:
             if not isinstance(layer, Linear) or layer.bias is None:
                 return None
             linears.append(layer)
-            expect_linear = False
         else:
-            if not isinstance(layer, ReLU):
+            if type(layer) not in _ACTIVATION_KERNELS:
                 return None
-            expect_linear = True
-    if expect_linear:  # sequence ended on a ReLU
+            name = _ACTIVATION_KERNELS[type(layer)][0]
+            activations.add((name, getattr(layer, "negative_slope", None)))
+        expect_linear = not expect_linear
+    if expect_linear or len(activations) > 1:  # ended on an activation, or mixed
         return None
-    return FusedStack(linears)
+    activation, negative_slope = activations.pop() if activations else (None, None)
+    return FusedStack(linears, activation, negative_slope)
 
 
 # ----------------------------------------------------------------------
@@ -154,10 +214,10 @@ class FusedParamBlock:
             raise ValueError("FusedParamBlock needs at least one stack")
         shapes = stacks[0].shapes
         for stack in stacks[1:]:
-            if stack.shapes != shapes:
+            if stack.signature != stacks[0].signature:
                 raise ValueError(
-                    f"all stacks must share one shape signature; got {stack.shapes} "
-                    f"vs {shapes}"
+                    f"all stacks must share one signature; got {stack.signature} "
+                    f"vs {stacks[0].signature}"
                 )
         self.stacks = list(stacks)
         self.shapes = shapes
@@ -208,42 +268,44 @@ class FusedParamBlock:
 # ----------------------------------------------------------------------
 # Closed-form forward / backward
 # ----------------------------------------------------------------------
-def _forward(weights, biases, x: np.ndarray):
-    """Batched MLP forward; returns (logits, layer inputs, relu masks).
+def _forward(weights, biases, x: np.ndarray, activate):
+    """Batched MLP forward; returns (logits, layer inputs, activation factors).
 
     Replicates the autograd op order exactly: ``z = a @ W`` then
-    ``z = z + b``, and ReLU as ``mask = (z > 0); a = z * mask`` (the mask
-    multiply — not ``np.maximum`` — preserves autograd's signed zeros).
+    ``z = z + b``, then ``a, factors = activate(z)``
+    (:meth:`FusedStack.activate`).
     """
     activations = [x]
-    masks: List[np.ndarray] = []
+    factors: List[tuple] = []
     a = x
     last = len(weights) - 1
     for layer in range(last + 1):
         z = np.matmul(a, weights[layer])
         z = z + biases[layer]
         if layer < last:
-            mask = (z > 0).astype(z.dtype)
-            a = z * mask
-            masks.append(mask)
+            a, layer_factors = activate(z)
+            factors.append(layer_factors)
             activations.append(a)
         else:
             a = z
-    return a, activations, masks
+    return a, activations, factors
 
 
-def _backward(weights, grad_weights, grad_biases, g_logits: np.ndarray, activations, masks) -> None:
+def _backward(weights, grad_weights, grad_biases, g_logits: np.ndarray, activations, factors) -> None:
     """Batched backward from the logits gradient into the flat grad buffer.
 
     Mirrors the tape: bias gradients are the batch-axis sum, weight
-    gradients ``aᵀ @ g``, and the activation gradient ``(g @ Wᵀ) * mask``.
+    gradients ``aᵀ @ g``, and the activation gradient ``g @ Wᵀ`` times the
+    layer's activation factors, left to right.
     """
     g = g_logits
     for layer in range(len(weights) - 1, -1, -1):
         np.sum(g, axis=1, out=grad_biases[layer])
         np.matmul(activations[layer].swapaxes(1, 2), g, out=grad_weights[layer])
         if layer > 0:
-            g = np.matmul(g, weights[layer].swapaxes(1, 2)) * masks[layer - 1]
+            g = np.matmul(g, weights[layer].swapaxes(1, 2))
+            for factor in factors[layer - 1]:
+                g = g * factor
 
 
 def _weighted_mse_value_and_grad(
@@ -406,7 +468,7 @@ class FusedSGD:
 # ----------------------------------------------------------------------
 # The fused training loop
 # ----------------------------------------------------------------------
-def train_linear_relu_stacks(
+def train_mlp_stacks(
     stacks: Sequence[FusedStack],
     inputs: Sequence[np.ndarray],
     labels: np.ndarray,
@@ -422,7 +484,7 @@ def train_linear_relu_stacks(
     seed: int = 0,
     backend=None,
 ) -> List[List[float]]:
-    """Train ``C`` same-shape stacks simultaneously; returns per-head loss curves.
+    """Train ``C`` same-signature stacks simultaneously; returns per-head loss curves.
 
     ``inputs[c]`` is head ``c``'s ``(n, in)`` body-output matrix;
     ``labels``/``sample_weights`` are shared across heads (one proxy dataset
@@ -491,13 +553,13 @@ def train_linear_relu_stacks(
         batch_losses: List[np.ndarray] = []
         for start in range(0, n, batch_size):
             stop = start + batch_size
-            logits, activations, masks = _forward(
-                layer_weights, layer_biases, x_epoch[:, start:stop]
+            logits, activations, factors = _forward(
+                layer_weights, layer_biases, x_epoch[:, start:stop], stacks[0].activate
             )
             losses, g_logits = loss_kernel(
                 logits, targets_epoch[start:stop], weights_epoch[start:stop]
             )
-            _backward(layer_weights, grad_weights, grad_biases, g_logits, activations, masks)
+            _backward(layer_weights, grad_weights, grad_biases, g_logits, activations, factors)
             opt.step(theta, grad)
             # Loss curves accumulate in float64 whatever the compute dtype
             # (on float64 losses ``astype(copy=False)`` is the identity).

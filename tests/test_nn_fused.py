@@ -5,10 +5,11 @@ trained weights and loss curves to the closure-based autograd reference for
 every eligible head.  These tests enforce that promise:
 
 * a seeded property sweep across random hidden sizes, odd batch sizes,
-  class counts, both losses and both optimisers (hypothesis drives the
-  configuration space; every comparison is exact equality, not allclose);
+  class counts, every searched activation (with a drawn LeakyReLU slope),
+  both losses and both optimisers (hypothesis drives the configuration
+  space; every comparison is exact equality, not allclose);
 * the batched multi-candidate trainer vs per-head reference runs, including
-  mixed shape groups and non-ReLU fallback heads inside one batch;
+  mixed shape and activation groups and fallback heads inside one batch;
 * the search-level batch evaluator vs executor-mapped single evaluations;
 * an end-to-end :class:`~repro.core.MuffinSearch` run with the fast path on
   vs off;
@@ -20,11 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.core import HeadTrainConfig, MuffinSearch, SearchConfig
+from repro.core import DEFAULT_ACTIVATIONS, HeadTrainConfig, MuffinSearch, SearchConfig
 from repro.core.fusing import MuffinHead
 from repro.core.search import evaluate_task, evaluate_task_batch
 from repro.core.trainer import train_head_on_outputs, train_heads_batched
-from repro.nn.fused import extract_fused_stack
+from repro.nn.fused import FusedParamBlock, extract_fused_stack
 
 
 def _proxy(rng, n, num_classes, dim):
@@ -33,6 +34,16 @@ def _proxy(rng, n, num_classes, dim):
         rng.integers(0, num_classes, n),
         rng.random(n) + 0.05,
     )
+
+
+def _head(dim, num_classes, hidden, activation, seed, negative_slope=None):
+    """A seeded muffin head; ``negative_slope`` overrides LeakyReLU's default."""
+    head = MuffinHead(dim, num_classes, hidden, activation, seed=seed)
+    if negative_slope is not None:
+        for module in head.modules():
+            if isinstance(module, nn.LeakyReLU):
+                module.negative_slope = negative_slope
+    return head
 
 
 def _assert_heads_identical(reference: nn.Module, fused: nn.Module) -> None:
@@ -54,11 +65,13 @@ def _assert_heads_identical(reference: nn.Module, fused: nn.Module) -> None:
     loss=st.sampled_from(["weighted_mse", "weighted_ce"]),
     optimizer=st.sampled_from(["adam", "sgd"]),
     weight_decay=st.sampled_from([0.0, 1e-4]),
+    activation=st.sampled_from(DEFAULT_ACTIVATIONS),
+    slope=st.floats(0.0, 0.5),
     seed=st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_fused_training_matches_autograd_bit_exactly(
-    hidden, batch_size, num_classes, n, loss, optimizer, weight_decay, seed
+    hidden, batch_size, num_classes, n, loss, optimizer, weight_decay, activation, slope, seed
 ):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 30))
@@ -74,8 +87,10 @@ def test_fused_training_matches_autograd_bit_exactly(
     )
     head_seed = int(rng.integers(0, 2**31 - 1))
 
-    reference = MuffinHead(dim, num_classes, hidden, "relu", seed=head_seed)
-    fused = MuffinHead(dim, num_classes, hidden, "relu", seed=head_seed)
+    slope = slope if activation == "leaky_relu" else None
+    reference = _head(dim, num_classes, hidden, activation, head_seed, slope)
+    fused = _head(dim, num_classes, hidden, activation, head_seed, slope)
+    assert extract_fused_stack(fused) is not None  # the sweep must hit the kernels
     ref_result = train_head_on_outputs(
         reference, outputs, labels, weights, num_classes,
         HeadTrainConfig(use_fused=False, **base),
@@ -114,6 +129,10 @@ class TestBatchedTrainer:
             ((8, 4), 12, "relu"),
             ((), 18, "relu"),
             ((16,), 18, "relu"),
+            ((16,), 12, "tanh"),
+            ((8, 4), 12, "sigmoid"),
+            ((16,), 12, "leaky_relu"),
+            ((), 18, "tanh"),
         ]
         make_heads, outputs, labels, weights = self._batch(specs)
         config = HeadTrainConfig(epochs=4, batch_size=32, seed=3)
@@ -140,19 +159,98 @@ class TestBatchedTrainer:
             _assert_heads_identical(ref_head, fused_head)
 
     def test_non_relu_heads_fall_back_inside_the_batch(self):
-        specs = [((16,), 12, "relu"), ((16,), 12, "tanh"), ((8,), 12, "sigmoid")]
-        make_heads, outputs, labels, weights = self._batch(specs, seed=5)
+        """Heads the kernels cannot express — a plugin activation, dropout —
+        train on the autograd loop beside the fused heads of one batch."""
+
+        class ShiftedReLU(nn.ReLU):  # a subclass with its own forward
+            def forward(self, x):
+                return (x + 0.1).relu()
+
+        rng = np.random.default_rng(5)
+        n, dim = 157, 12
+        labels = rng.integers(0, self.NUM_CLASSES, n)
+        weights = rng.random(n) + 0.05
+        outputs = [rng.random((n, dim)) for _ in range(3)]
+
+        def make_heads():
+            return [
+                MuffinHead(dim, self.NUM_CLASSES, (16,), "tanh", seed=100),
+                nn.Sequential(
+                    nn.Linear(dim, 16, rng=np.random.default_rng(1)),
+                    ShiftedReLU(),
+                    nn.Linear(16, self.NUM_CLASSES, rng=np.random.default_rng(2)),
+                ),
+                nn.MLP(
+                    dim, [8], self.NUM_CLASSES, activation="sigmoid", dropout=0.3,
+                    rng=np.random.default_rng(3),
+                ),
+            ]
+
         config = HeadTrainConfig(epochs=3, batch_size=64, seed=1)
         reference_config = HeadTrainConfig(epochs=3, batch_size=64, seed=1, use_fused=False)
-
         reference_heads = make_heads()
-        for head, matrix in zip(reference_heads, outputs):
+        reference_results = [
             train_head_on_outputs(
                 head, matrix, labels, weights, self.NUM_CLASSES, reference_config
             )
+            for head, matrix in zip(reference_heads, outputs)
+        ]
         batched_heads = make_heads()
-        train_heads_batched(batched_heads, outputs, labels, weights, self.NUM_CLASSES, config)
-        for ref_head, fused_head in zip(reference_heads, batched_heads):
+        assert [extract_fused_stack(head) is not None for head in batched_heads] == [
+            True, False, False
+        ]
+        batched_results = train_heads_batched(
+            batched_heads, outputs, labels, weights, self.NUM_CLASSES, config
+        )
+        for ref_head, ref_result, fused_head, fused_result in zip(
+            reference_heads, reference_results, batched_heads, batched_results
+        ):
+            assert ref_result.losses == fused_result.losses
+            _assert_heads_identical(ref_head, fused_head)
+
+    def test_leaky_relu_slopes_train_in_separate_groups(self, monkeypatch):
+        import repro.core.trainer as trainer_mod
+
+        groups = []
+        original = trainer_mod.train_mlp_stacks
+
+        def recording(stacks, *args, **kwargs):
+            groups.append([stack.negative_slope for stack in stacks])
+            return original(stacks, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_mlp_stacks", recording)
+        slopes = [0.01, 0.2, 0.01]
+        rng = np.random.default_rng(11)
+        n, dim = 157, 12
+        labels = rng.integers(0, self.NUM_CLASSES, n)
+        weights = rng.random(n) + 0.05
+        outputs = [rng.random((n, dim)) for _ in slopes]
+
+        def make_heads():
+            return [
+                _head(dim, self.NUM_CLASSES, (16, 8), "leaky_relu", 100 + i, slope)
+                for i, slope in enumerate(slopes)
+            ]
+
+        config = HeadTrainConfig(epochs=3, batch_size=48, seed=4)
+        reference_config = HeadTrainConfig(epochs=3, batch_size=48, seed=4, use_fused=False)
+        reference_heads = make_heads()
+        reference_results = [
+            train_head_on_outputs(
+                head, matrix, labels, weights, self.NUM_CLASSES, reference_config
+            )
+            for head, matrix in zip(reference_heads, outputs)
+        ]
+        batched_heads = make_heads()
+        batched_results = train_heads_batched(
+            batched_heads, outputs, labels, weights, self.NUM_CLASSES, config
+        )
+
+        assert sorted(groups) == [[0.01, 0.01], [0.2]]
+        for ref_head, ref_result, fused_head, fused_result in zip(
+            reference_heads, reference_results, batched_heads, batched_results
+        ):
+            assert ref_result.losses == fused_result.losses
             _assert_heads_identical(ref_head, fused_head)
 
     def test_use_fused_false_forces_the_reference_path_for_all(self):
@@ -199,6 +297,9 @@ class TestSearchIntegration:
             FusingCandidate(("MobileNet_V3_Small", "DenseNet121"), (16,), "relu"),
             FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (8, 4), "relu"),
             FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (16,), "tanh"),
+            FusingCandidate(("MobileNet_V3_Small", "DenseNet121"), (16,), "tanh"),
+            FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (8,), "sigmoid"),
+            FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (8, 4), "leaky_relu"),
         ]
         tasks = [
             search._task_for(candidate, search.candidate_seed(candidate))
@@ -235,8 +336,9 @@ class TestSearchIntegration:
                 )
 
     def test_mixed_batches_split_between_fused_path_and_executor(self, pool):
-        """ReLU heads take the batched kernels; other activations keep the
-        executor — and both halves stay bit-identical to the fused-off run."""
+        """Under use_fused a batch mixing every activation trains on the
+        batched kernels and never reaches the executor; the oracle maps it
+        all through the executor — and the records stay bit-identical."""
         from repro.core.search_space import FusingCandidate
 
         class CountingExecutor:
@@ -257,20 +359,22 @@ class TestSearchIntegration:
             FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (16,), "relu"),
             FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (16,), "tanh"),
             FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (8,), "sigmoid"),
-            FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (8,), "relu"),
+            FusingCandidate(("MobileNet_V3_Small", "ResNet-18"), (8,), "leaky_relu"),
         ]
         fused_executor = CountingExecutor()
         fused_records = self._search(pool, use_fused=True).evaluate_batch(
             candidates, executor=fused_executor
         )
-        assert fused_executor.mapped == 2  # tanh + sigmoid only
+        assert fused_executor.mapped == 0
         reference_executor = CountingExecutor()
         reference_records = self._search(pool, use_fused=False).evaluate_batch(
             candidates, executor=reference_executor
         )
         assert reference_executor.mapped == 4  # everything
+        assert len(fused_records) == len(reference_records) == 4
         for fused_record, reference_record in zip(fused_records, reference_records):
             assert fused_record.reward == reference_record.reward
+            assert fused_record.train_losses == reference_record.train_losses
             for key in reference_record.head_state:
                 assert np.array_equal(
                     fused_record.head_state[key], reference_record.head_state[key]
@@ -290,19 +394,19 @@ class TestSearchIntegration:
 class TestBackends:
     NUM_CLASSES = 5
 
-    def _workload(self, seed=7, n=300, dim=14):
+    def _workload(self, activation="relu", seed=7, n=300, dim=14):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, self.NUM_CLASSES, n)
         weights = rng.random(n) + 0.05
         outputs = [rng.random((n, dim)) for _ in range(3)]
         make_heads = lambda: [  # noqa: E731 - fresh identical head sets
-            MuffinHead(dim, self.NUM_CLASSES, (16,), "relu", seed=40 + i)
+            MuffinHead(dim, self.NUM_CLASSES, (16,), activation, seed=40 + i)
             for i in range(3)
         ]
         return make_heads, outputs, labels, weights
 
-    def _train(self, backend):
-        make_heads, outputs, labels, weights = self._workload()
+    def _train(self, backend, activation="relu"):
+        make_heads, outputs, labels, weights = self._workload(activation)
         config = HeadTrainConfig(epochs=6, batch_size=64, seed=2, backend=backend)
         heads = make_heads()
         results = train_heads_batched(
@@ -327,10 +431,14 @@ class TestBackends:
             _assert_heads_identical(a, b)
 
     def test_float32_backend_satisfies_the_tolerance_contract(self):
+        for activation in DEFAULT_ACTIVATIONS:
+            self._check_float32_contract(activation)
+
+    def _check_float32_contract(self, activation):
         from repro.core import assert_backend_close
 
-        oracle_heads, oracle_results = self._train("numpy-float64")
-        fp32_heads, fp32_results = self._train("numpy-float32")
+        oracle_heads, oracle_results = self._train("numpy-float64", activation)
+        fp32_heads, fp32_results = self._train("numpy-float32", activation)
         for oracle, fp32 in zip(oracle_results, fp32_results):
             assert_backend_close(
                 "numpy-float32", "loss_curve", fp32.losses, oracle.losses
@@ -345,6 +453,20 @@ class TestBackends:
                 assert_backend_close(
                     "numpy-float32", "head_weights", fp32_state[key], oracle_state[key]
                 )
+
+    @pytest.mark.parametrize("activation", DEFAULT_ACTIVATIONS)
+    def test_float32_block_forward_stays_float32(self, activation):
+        from repro.nn.fused import _forward
+
+        _, outputs, _, _ = self._workload(activation)
+        head = MuffinHead(14, self.NUM_CLASSES, (16, 8), activation, seed=3)
+        stack = extract_fused_stack(head)
+        block = FusedParamBlock([stack], dtype=np.float32)
+        x = np.stack([outputs[0][:64]]).astype(np.float32)
+        logits, layer_inputs, factors = _forward(block.weights, block.biases, x, stack.activate)
+        intermediates = [logits, *layer_inputs, *(f for fs in factors for f in fs)]
+        assert len(factors) == 2
+        assert all(array.dtype == np.float32 for array in intermediates)
 
     def test_float32_backend_must_actually_diverge(self):
         """Guards the contract test against accidentally running float64."""
@@ -382,13 +504,46 @@ class TestEligibility:
         assert stack is not None
         assert stack.shapes == ((12, 4),)
 
-    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "leaky_relu"])
-    def test_other_activations_are_not_eligible(self, activation):
-        assert extract_fused_stack(MuffinHead(12, 4, (16,), activation, seed=0)) is None
+    @pytest.mark.parametrize("activation", DEFAULT_ACTIVATIONS)
+    def test_every_searched_activation_is_eligible(self, activation):
+        stack = extract_fused_stack(MuffinHead(12, 4, (16, 8), activation, seed=0))
+        assert stack is not None
+        assert stack.shapes == ((12, 16), (16, 8), (8, 4))
+        assert stack.activation == activation
+        assert stack.negative_slope == (0.01 if activation == "leaky_relu" else None)
+
+    def test_linear_only_heads_share_one_signature(self):
+        signatures = {
+            extract_fused_stack(MuffinHead(12, 4, (), activation, seed=0)).signature
+            for activation in DEFAULT_ACTIVATIONS
+        }
+        assert signatures == {(((12, 4),), None, None)}
+
+    def test_mixed_activations_are_not_eligible(self):
+        net = nn.Sequential(
+            nn.Linear(12, 16), nn.ReLU(), nn.Linear(16, 8), nn.Tanh(), nn.Linear(8, 4)
+        )
+        assert extract_fused_stack(net) is None
+
+    def test_mixed_leaky_relu_slopes_are_not_eligible(self):
+        net = nn.Sequential(
+            nn.Linear(12, 16), nn.LeakyReLU(0.01), nn.Linear(16, 8), nn.LeakyReLU(0.2),
+            nn.Linear(8, 4),
+        )
+        assert extract_fused_stack(net) is None
+
+    def test_activation_subclass_is_not_eligible(self):
+        class ShiftedTanh(nn.Tanh):
+            def forward(self, x):
+                return (x + 0.1).tanh()
+
+        net = nn.Sequential(nn.Linear(12, 16), ShiftedTanh(), nn.Linear(16, 4))
+        assert extract_fused_stack(net) is None
 
     def test_dropout_is_not_eligible(self):
-        mlp = nn.MLP(12, [16], 4, activation="relu", dropout=0.5)
-        assert extract_fused_stack(mlp) is None
+        for activation in DEFAULT_ACTIVATIONS:
+            mlp = nn.MLP(12, [16], 4, activation=activation, dropout=0.5)
+            assert extract_fused_stack(mlp) is None, activation
 
     def test_bias_free_linear_is_not_eligible(self):
         net = nn.Sequential(nn.Linear(12, 4, bias=False))
