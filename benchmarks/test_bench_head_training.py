@@ -19,14 +19,12 @@ A mixed batch cycling through every activation the search space emits
 (``DEFAULT_ACTIVATIONS``) then checks each fused kernel against the oracle
 bit for bit.
 
-Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step; the legacy
-``HEAD_BENCH_IDENTITY_ONLY`` still works) skips the wall-clock assertion
-while keeping the identity check.  Like the parallel search benchmark, the
-speedup tiers degrade on constrained runners: a single-core box only
-prints the measured ratio (identity is still asserted), 2-3 cores require
-2x, and a genuinely multi-core runner must show the full 5x (threaded BLAS
-accelerates the stacked GEMMs while the interpreted autograd loop stays
-serial).
+Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step) skips the
+wall-clock assertion while keeping the identity check.  The speedup tiers
+degrade on constrained runners: a single-core box only prints the measured
+ratio (identity is still asserted), 2-3 cores require 2x, and a genuinely
+multi-core runner must show the full 5x (threaded BLAS accelerates the
+stacked GEMMs while the interpreted autograd loop stays serial).
 
 A last pass re-runs the fused trainer on the ``numpy-float32`` backend, over
 the mixed-activation batch:

@@ -12,10 +12,9 @@ multi-attribute workload (the shape of one Muffin search episode batch):
   every candidate, attribute and group;
 * the engine is measurably faster.
 
-Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step; the legacy
-``METRICS_BENCH_IDENTITY_ONLY`` still works) skips the wall-clock
-assertion while keeping the identity check, so constrained or noisy
-runners still verify correctness.
+Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step) skips the
+wall-clock assertion while keeping the identity check, so constrained or
+noisy runners still verify correctness.
 
 A second pass re-runs the engine on the ``numpy-float32`` backend.  On
 hard 0/1 predictions its counting GEMMs are exact below 2^24 per partial

@@ -10,9 +10,8 @@ The serving subsystem's load-bearing claims:
   predicted labels are asserted identical first — batching changes
   throughput, never answers).
 
-Set ``REPRO_BENCH_IDENTITY_ONLY=1`` (the legacy ``SERVE_BENCH_IDENTITY_ONLY``
-still works) to skip the wall-clock assertion on heavily shared runners;
-the identity checks always run.
+Set ``REPRO_BENCH_IDENTITY_ONLY=1`` to skip the wall-clock assertion on
+heavily shared runners; the identity checks always run.
 """
 
 import time

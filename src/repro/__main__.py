@@ -108,7 +108,7 @@ def _run_command(argv: Sequence[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the thread/process executors (default: one per CPU core)",
+        help="worker count for the distributed executor (default: one per CPU core)",
     )
     parser.add_argument(
         "--no-memoize",
@@ -130,12 +130,6 @@ def _run_command(argv: Sequence[str]) -> int:
         help="shorthand for --backend numpy-<dtype>",
     )
     parser.add_argument(
-        "--no-fused",
-        action="store_true",
-        help="disable the fused head-training fast path (results are "
-        "bit-identical either way; this forces the autograd reference loop)",
-    )
-    parser.add_argument(
         "--journal",
         default=None,
         metavar="PATH",
@@ -155,8 +149,6 @@ def _run_command(argv: Sequence[str]) -> int:
             overrides["max_workers"] = args.max_workers
         if args.no_memoize:
             overrides["memoize"] = False
-        if args.no_fused:
-            overrides["use_fused"] = False
         if args.journal is not None:
             overrides["journal"] = args.journal
         if overrides:
@@ -225,13 +217,6 @@ def _run_command(argv: Sequence[str]) -> int:
                 f"metrics {stats.metrics_seconds:.3f}s, "
                 f"training {stats.train_seconds:.3f}s{suffix}"
             )
-            if stats.task_bytes_raw:
-                ratio = stats.task_bytes_raw / max(stats.task_bytes_shipped, 1)
-                print(
-                    f"task transport: {stats.task_bytes_shipped} bytes shipped "
-                    f"(raw {stats.task_bytes_raw} bytes, {ratio:.1f}x saved via "
-                    f"shared memory)"
-                )
         if cache_dir is not None:
             print(f"cache: {cache_dir}")
         if muffin.test_evaluation is not None:
@@ -319,7 +304,6 @@ def _export_command(argv: Sequence[str]) -> int:
 
 
 def _serve_command(argv: Sequence[str]) -> int:
-    from .core import EXECUTORS
     from .serve import InferenceServer, ServeConfig, serve_forever
     from .zoo import load_fused_model
 
@@ -343,13 +327,6 @@ def _serve_command(argv: Sequence[str]) -> int:
         default=64,
         help="maximum sample rows coalesced into one forward pass (default: 64)",
     )
-    parser.add_argument(
-        "--executor",
-        default="serial",
-        choices=EXECUTORS.names(),
-        help="executor dispatching the independent body-member forwards",
-    )
-    parser.add_argument("--max-workers", type=int, default=None, metavar="N")
     parser.add_argument(
         "--monitor-window",
         type=int,
@@ -408,8 +385,6 @@ def _serve_command(argv: Sequence[str]) -> int:
         config = ServeConfig(
             batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
-            executor=args.executor,
-            max_workers=args.max_workers,
             monitor_window=args.monitor_window,
             log_every=args.log_every,
             num_shards=args.shards,

@@ -189,7 +189,9 @@ class HashContractRule(ProjectRule):
                 base,
                 execution=dataclasses.replace(
                     base.execution,
-                    executor="thread" if base.execution.executor != "thread" else "serial",
+                    executor="distributed"
+                    if base.execution.executor != "distributed"
+                    else "serial",
                     memoize=not base.execution.memoize,
                 ),
                 backend=dataclasses.replace(

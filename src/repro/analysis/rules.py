@@ -5,10 +5,10 @@ interpreter cannot enforce:
 
 * **RL1 determinism** — seeded searches are bit-identical across executors
   only because no code path consults hidden global or wall-clock entropy.
-* **RL3 executor safety** — the process and distributed executors resolve
-  task functions by ``module:qualname`` and pickle their payloads, so a
-  lambda or closure handed to ``.map``/``.submit`` works under the serial
-  executor and explodes the moment someone flips ``--executor process``.
+* **RL3 executor safety** — the distributed executor resolves task
+  functions by ``module:qualname`` and pickles their payloads, so a lambda
+  or closure handed to ``.map``/``.submit`` works under the serial executor
+  and explodes the moment someone flips ``--executor distributed``.
 * **RL4 atomic persistence** — the crash-safety story (torn-tail-tolerant
   journals, resume-from-cache, artifact serving) assumes every durable JSON
   document is written atomically; one bare ``open(path, "w")`` silently
@@ -266,8 +266,8 @@ class ExecutorSafetyRule(FileRule):
                     _finding(
                         source, task, self.code,
                         f"lambda passed to executor .{func.attr}(); lambdas cannot "
-                        "be pickled for the process executor or resolved by "
-                        "module:qualname for distributed workers",
+                        "be pickled or resolved by module:qualname for the "
+                        "distributed executor's workers",
                         "hoist the task to a module-level function",
                     )
                 )

@@ -339,11 +339,6 @@ class MuffinPipeline:
                         f"executor={stats.executor} backend={stats.backend} "
                         f"memo={stats.memo_hits}h/{stats.memo_misses}m"
                     )
-                    if stats.task_bytes_shipped and stats.task_bytes_raw:
-                        memo += (
-                            f" shipped={stats.task_bytes_shipped}B"
-                            f"/{stats.task_bytes_raw}B raw"
-                        )
                     detail = f"{detail}; {memo}" if detail else memo
         seconds = time.perf_counter() - start
         self.timings.append(

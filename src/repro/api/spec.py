@@ -172,13 +172,13 @@ class ExecutionSpec:
 
     Seeded results are bit-identical across executors, so this section is
     deliberately excluded from every stage hash: switching ``serial`` to
-    ``process`` reuses all cached artifacts.
+    ``distributed`` reuses all cached artifacts.
     """
 
     #: registered executor name (:data:`repro.core.EXECUTORS`):
-    #: 'serial', 'thread', 'process' or 'distributed'
+    #: 'serial' or 'distributed'
     executor: str = "serial"
-    #: worker count for parallel executors (``None`` = one per CPU core)
+    #: worker count for the distributed executor (``None`` = one per CPU core)
     max_workers: Optional[int] = None
     #: memoise evaluations on their (candidate, seed) key
     memoize: bool = True

@@ -19,9 +19,7 @@ speedup of a wrong answer is not reported as a win.
 
 :func:`identity_only` is the single switch the benchmark suite consults to
 skip wall-clock assertions on constrained runners: set
-``REPRO_BENCH_IDENTITY_ONLY=1``.  The pre-unification per-suite variables
-(``METRICS_BENCH_IDENTITY_ONLY``, ``HEAD_BENCH_IDENTITY_ONLY``,
-``SERVE_BENCH_IDENTITY_ONLY``) are honoured as deprecated aliases.
+``REPRO_BENCH_IDENTITY_ONLY=1``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -45,33 +42,10 @@ from .obs import trace as _trace
 #: assertions are skipped when it is set
 IDENTITY_ONLY_VAR = "REPRO_BENCH_IDENTITY_ONLY"
 
-#: pre-unification per-suite switches, still honoured with a deprecation
-#: warning so existing CI configurations keep working
-LEGACY_IDENTITY_VARS = (
-    "METRICS_BENCH_IDENTITY_ONLY",
-    "HEAD_BENCH_IDENTITY_ONLY",
-    "SERVE_BENCH_IDENTITY_ONLY",
-)
 
-
-def identity_only(*extra_legacy: str) -> bool:
-    """True when wall-clock assertions should be skipped (identity still runs).
-
-    Checks :data:`IDENTITY_ONLY_VAR` first, then every deprecated legacy
-    variable (plus any ``extra_legacy`` names a caller still recognises),
-    warning once per process when only a legacy name is set.
-    """
-    if os.environ.get(IDENTITY_ONLY_VAR):
-        return True
-    for name in tuple(LEGACY_IDENTITY_VARS) + tuple(extra_legacy):
-        if os.environ.get(name):
-            warnings.warn(
-                f"{name} is deprecated; set {IDENTITY_ONLY_VAR}=1 instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return True
-    return False
+def identity_only() -> bool:
+    """True when wall-clock assertions should be skipped (identity still runs)."""
+    return bool(os.environ.get(IDENTITY_ONLY_VAR))
 
 
 @dataclass

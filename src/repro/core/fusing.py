@@ -19,7 +19,7 @@ disagreement experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,14 +30,6 @@ from ..fairness.metrics import FairnessEvaluation, evaluate_predictions
 from ..utils.rng import get_rng
 from ..zoo.model import ZooModel, softmax_probabilities
 from .search_space import FusingCandidate
-
-
-def _member_probabilities_task(
-    task: Tuple[ZooModel, np.ndarray, FeatureSchema]
-) -> np.ndarray:
-    """Module-level member forward (picklable for the process executor)."""
-    model, features, schema = task
-    return model.predict_proba_features(features, schema)
 
 
 class MuffinBody:
@@ -85,33 +77,14 @@ class MuffinBody:
         return np.concatenate(self.member_probabilities(dataset, indices), axis=1)
 
     def member_probabilities_features(
-        self,
-        features: np.ndarray,
-        schema: FeatureSchema,
-        executor=None,
+        self, features: np.ndarray, schema: FeatureSchema
     ) -> List[np.ndarray]:
-        """Per-member probabilities from a raw stacked component matrix.
+        """Per-member probabilities from a raw stacked component matrix."""
+        return [model.predict_proba_features(features, schema) for model in self.models]
 
-        ``executor`` may be any :mod:`repro.core.execution` executor (or
-        ``None`` for inline evaluation); its order-preserving ``map``
-        parallelises the independent member forwards without changing the
-        results — the inference server dispatches through it.
-        """
-        tasks = [(model, features, schema) for model in self.models]
-        if executor is None:
-            return [_member_probabilities_task(task) for task in tasks]
-        return list(executor.map(_member_probabilities_task, tasks))
-
-    def forward_features(
-        self,
-        features: np.ndarray,
-        schema: FeatureSchema,
-        executor=None,
-    ) -> np.ndarray:
+    def forward_features(self, features: np.ndarray, schema: FeatureSchema) -> np.ndarray:
         """Concatenated member probabilities from a raw component matrix."""
-        return np.concatenate(
-            self.member_probabilities_features(features, schema, executor), axis=1
-        )
+        return np.concatenate(self.member_probabilities_features(features, schema), axis=1)
 
     def consensus(
         self, dataset: FairnessDataset, indices: Optional[np.ndarray] = None
@@ -365,7 +338,6 @@ class FusedModel:
         features: np.ndarray,
         schema: Optional[FeatureSchema] = None,
         use_consensus_shortcut: bool = True,
-        executor=None,
     ) -> FusedPrediction:
         """Predict from a raw ``(n, input_dim)`` component matrix.
 
@@ -373,11 +345,9 @@ class FusedModel:
         :class:`~repro.data.schema.FeatureSchema` (see
         :meth:`FeatureSchema.features`); predictions are bit-identical to
         :meth:`predict_detailed` on the samples the matrix was stacked from.
-        ``executor`` (any :mod:`repro.core.execution` executor) parallelises
-        the independent member forwards.  The returned prediction carries
-        fused class probabilities: under the consensus shortcut, rows where
-        every member agrees become the one-hot consensus label, the head's
-        softmax decides the rest.
+        The returned prediction carries fused class probabilities: under the
+        consensus shortcut, rows where every member agrees become the one-hot
+        consensus label, the head's softmax decides the rest.
         """
         schema = self._resolve_schema(schema)
         features = schema.validate_features(features)
@@ -386,7 +356,7 @@ class FusedModel:
                 f"schema has {schema.num_classes} classes but the fused model "
                 f"predicts {self.num_classes}"
             )
-        body_output = self.body.forward_features(features, schema, executor)
+        body_output = self.body.forward_features(features, schema)
         head_logits = self.head(nn.Tensor(body_output)).data
         head_predictions = head_logits.argmax(axis=-1)
         arbitrated = consensus_arbitrate(body_output, head_predictions, self.num_classes)
@@ -413,11 +383,10 @@ class FusedModel:
         features: np.ndarray,
         schema: Optional[FeatureSchema] = None,
         use_consensus_shortcut: bool = True,
-        executor=None,
     ) -> np.ndarray:
         """Hard class predictions from a raw component matrix."""
         return self.predict_detailed_features(
-            features, schema, use_consensus_shortcut, executor
+            features, schema, use_consensus_shortcut
         ).predictions
 
     def predict_proba_features(
@@ -425,11 +394,10 @@ class FusedModel:
         features: np.ndarray,
         schema: Optional[FeatureSchema] = None,
         use_consensus_shortcut: bool = True,
-        executor=None,
     ) -> np.ndarray:
         """Fused class probabilities ``(n, C)`` from a raw component matrix."""
         return self.predict_detailed_features(
-            features, schema, use_consensus_shortcut, executor
+            features, schema, use_consensus_shortcut
         ).probabilities
 
     def evaluate(

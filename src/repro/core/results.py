@@ -54,19 +54,12 @@ class ExecutionStats:
     #: wall-clock of the candidate-evaluation work (a subset of
     #: ``eval_seconds``): head training — fused batched kernels, or the
     #: executor-mapped autograd loop — plus each candidate's evaluation
-    #: forward/arbitration and, for parallel executors, the lazy worker-pool
-    #: spin-up on the first batch
+    #: forward/arbitration and, for the distributed executor, the lazy
+    #: worker spin-up on the first batch
     train_seconds: float = 0.0
     #: array backend the run's fused kernels and metrics engine used
     #: (``repro.core.backend``); 'numpy-float64' is the bit-identical default
     backend: str = "numpy-float64"
-    #: task-payload bytes a process-crossing executor *would* have pickled
-    #: (every task array at full ndarray size)
-    task_bytes_raw: int = 0
-    #: task-payload bytes actually shipped across the process boundary —
-    #: shared-memory descriptors instead of arrays; equals ``task_bytes_raw``
-    #: when the zero-copy transport never engaged
-    task_bytes_shipped: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -81,8 +74,6 @@ class ExecutionStats:
             "metrics_seconds": round(float(self.metrics_seconds), 4),
             "train_seconds": round(float(self.train_seconds), 4),
             "backend": self.backend,
-            "task_bytes_raw": self.task_bytes_raw,
-            "task_bytes_shipped": self.task_bytes_shipped,
         }
 
     @classmethod
@@ -99,8 +90,6 @@ class ExecutionStats:
             metrics_seconds=float(payload.get("metrics_seconds", 0.0)),
             train_seconds=float(payload.get("train_seconds", 0.0)),
             backend=str(payload.get("backend", "numpy-float64")),
-            task_bytes_raw=int(payload.get("task_bytes_raw", 0)),
-            task_bytes_shipped=int(payload.get("task_bytes_shipped", 0)),
         )
 
 

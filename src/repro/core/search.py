@@ -24,7 +24,7 @@ frozen members' argmax labels computed once per batch and shared.
 Episodes inside one controller batch are independent until the REINFORCE
 update, so the search samples the whole batch up front and dispatches the
 train-and-evaluate work through a pluggable executor
-(:mod:`repro.core.execution`): ``serial``, ``thread`` or ``process``, all
+(:mod:`repro.core.execution`): ``serial`` or ``distributed``, both
 bit-identical for a fixed seed.  Evaluations are additionally memoised on a
 ``(candidate, seed)`` key; with ``SearchConfig.candidate_seeds='derived'``
 the seed is hashed from the candidate itself, so re-sampled structures —
@@ -85,12 +85,6 @@ _EPISODES_TOTAL = METRICS.counter(
     "repro_search_episodes_total",
     "Search episodes completed.",
 )
-_TASK_BYTES_TOTAL = METRICS.counter(
-    "repro_search_task_bytes_total",
-    "Task payload bytes crossing the process boundary: raw ndarray sizes vs "
-    "what actually ships once shared-memory descriptors replace them.",
-    labelnames=("kind",),
-)
 
 
 class SearchInterrupted(RuntimeError):
@@ -129,10 +123,10 @@ class SearchConfig:
     seed: int = 0
     verbose: bool = False
     #: registered executor dispatching each batch's candidate evaluations
-    #: ('serial', 'thread' or 'process'); results are seed-identical across
+    #: ('serial' or 'distributed'); results are seed-identical across
     #: executors, only wall-clock differs
     executor: str = "serial"
-    #: worker count for the parallel executors (None = one per CPU core)
+    #: worker count for the distributed executor (None = one per CPU core)
     max_workers: Optional[int] = None
     #: memoise evaluations on their (candidate, seed) key so re-sampled
     #: structures skip head retraining
@@ -213,16 +207,6 @@ class BodyOutputCache:
     cache can be shared across searches and pipeline stages with different
     proxy builders or evaluation partitions without ever returning stale
     probabilities for the wrong index set.
-
-    With :meth:`enable_shared_transport` the cache additionally owns a
-    :class:`~repro.core.sharedmem.SharedSegmentRegistry`: cached matrices can
-    be exported once into POSIX shared memory (:meth:`share_array`) so
-    process-crossing executors ship ``(name, shape, dtype)`` descriptors
-    instead of pickling the matrices into every task.  Segments follow the
-    entries they mirror — evicting a concatenated matrix releases its
-    segment, :meth:`release_shared_segments` (executor shutdown) unlinks
-    them all — and the cache stays usable afterwards: the next shipment
-    simply re-exports.
     """
 
     #: LRU bound on memoised concatenated matrices (re-derivable from the
@@ -237,13 +221,9 @@ class BodyOutputCache:
         )
         #: per-model argmax labels, derived from the probability entries
         self._labels: Dict[Tuple[str, str, str], np.ndarray] = {}
-        #: stacked member-label matrices, memoised so repeat callers (and the
-        #: shared-memory transport, which keys segments on array identity)
-        #: see one stable array per (models, dataset, indices) triple
+        #: stacked member-label matrices, memoised so repeat callers see one
+        #: stable array per (models, dataset, indices) triple
         self._stacked_labels: Dict[Tuple[Tuple[str, ...], str, str], np.ndarray] = {}
-        # Shared-memory export state (None until enable_shared_transport).
-        self._shm_registry = None
-        self._shm_refs: Dict[int, object] = {}
         #: per-model matrix lookups (one count per probabilities() call)
         self.hits = 0
         self.misses = 0
@@ -300,8 +280,7 @@ class BodyOutputCache:
                 axis=1,
             )
             while len(self._concatenated) > self.MAX_CONCATENATED_ENTRIES:
-                evicted = self._concatenated.pop(next(iter(self._concatenated)))
-                self._release_shared(evicted)
+                self._concatenated.popitem(last=False)
         else:
             self.concat_hits += 1
             self._concatenated.move_to_end(key)
@@ -337,48 +316,6 @@ class BodyOutputCache:
         result = np.stack(stacked, axis=0)
         self._stacked_labels[stacked_key] = result
         return result
-
-    # ------------------------------------------------------------------
-    # Shared-memory export (process/distributed executors)
-    # ------------------------------------------------------------------
-    def enable_shared_transport(self) -> None:
-        """Create the shared-segment registry (idempotent)."""
-        if self._shm_registry is None:
-            from .sharedmem import SharedSegmentRegistry
-
-            self._shm_registry = SharedSegmentRegistry()
-
-    @property
-    def shared_transport_enabled(self) -> bool:
-        return self._shm_registry is not None
-
-    def share_array(self, array: np.ndarray):
-        """A :class:`~repro.core.sharedmem.SharedArrayRef` for ``array``.
-
-        Memoised on array identity, so each cached matrix is copied into
-        shared memory exactly once however many tasks reference it.
-        """
-        if self._shm_registry is None:
-            raise RuntimeError("call enable_shared_transport() first")
-        ref = self._shm_refs.get(id(array))
-        if ref is None:
-            ref = self._shm_registry.share(array)
-            self._shm_refs[id(array)] = ref
-        return ref
-
-    def _release_shared(self, array: np.ndarray) -> None:
-        """Unlink the segment mirroring an evicted cache entry (if any)."""
-        if self._shm_registry is None:
-            return
-        if self._shm_refs.pop(id(array), None) is not None:
-            self._shm_registry.release(array)
-
-    def release_shared_segments(self) -> None:
-        """Unlink every exported segment (executor shutdown); cache survives."""
-        if self._shm_registry is None:
-            return
-        self._shm_registry.close_all()
-        self._shm_refs.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -428,63 +365,6 @@ class EvaluationOutcome:
     head_parameters: int
 
 
-#: ndarray fields of :class:`EvaluationTask` the shared-memory transport may
-#: replace with :class:`~repro.core.sharedmem.SharedArrayRef` descriptors
-TASK_ARRAY_FIELDS = (
-    "proxy_outputs",
-    "proxy_labels",
-    "proxy_weights",
-    "eval_outputs",
-    "eval_member_labels",
-)
-
-#: generous pickled-size estimate of one shared-array descriptor, used by
-#: the bytes-shipped accounting (the real pickle is smaller)
-REF_DESCRIPTOR_BYTES = 128
-
-
-def resolve_task_arrays(task: EvaluationTask) -> EvaluationTask:
-    """Replace any shared-array descriptors in ``task`` with attached views.
-
-    Runs at the top of every evaluation entry point, so tasks are valid
-    whether their arrays travelled inline (serial/thread executors) or as
-    shared-memory descriptors (process/distributed executors).  Attached
-    views are read-only aliases of the master's segments; every consumer
-    below only reads them.
-    """
-    from .sharedmem import SharedArrayRef, attach_shared_array
-
-    updates = {}
-    for name in TASK_ARRAY_FIELDS:
-        value = getattr(task, name)
-        if isinstance(value, SharedArrayRef):
-            updates[name] = attach_shared_array(value)
-    return replace(task, **updates) if updates else task
-
-
-def task_payload_bytes(task: EvaluationTask) -> Tuple[int, int]:
-    """``(raw, shipped)`` payload sizes of one (possibly shipped) task.
-
-    ``raw`` counts every array field at full ndarray size; ``shipped``
-    counts descriptors at :data:`REF_DESCRIPTOR_BYTES` and inline arrays at
-    full size — so ``raw == shipped`` for an unshipped task and the ratio of
-    the two is the transport's saving.
-    """
-    from .sharedmem import SharedArrayRef
-
-    raw = 0
-    shipped = 0
-    for name in TASK_ARRAY_FIELDS:
-        value = getattr(task, name)
-        if isinstance(value, SharedArrayRef):
-            raw += value.nbytes
-            shipped += REF_DESCRIPTOR_BYTES
-        else:
-            raw += int(value.nbytes)
-            shipped += int(value.nbytes)
-    return raw, shipped
-
-
 def _build_task_head(task: EvaluationTask) -> MuffinHead:
     """The fresh, seeded head a task's evaluation trains."""
     return MuffinHead(
@@ -517,7 +397,7 @@ def _finish_task(task: EvaluationTask, head: MuffinHead, losses: List[float]) ->
 def evaluate_task(task: EvaluationTask) -> EvaluationOutcome:
     """Train one muffin head and predict on the evaluation partition.
 
-    Module-level (hence picklable by reference for the process executor) and
+    Module-level (hence resolvable by reference in distributed workers) and
     a pure function of ``task``: it builds a fresh head seeded from
     ``task.seed``, trains it with :func:`~repro.core.trainer.train_head_on_outputs`
     (which seeds a local generator) and arbitrates predictions through
@@ -525,9 +405,8 @@ def evaluate_task(task: EvaluationTask) -> EvaluationOutcome:
     labels precomputed once for the whole batch.
     """
     # The span is a no-op in worker processes (no writer installed there);
-    # serial/thread executors record one "search/task" child per evaluation.
+    # the serial executor records one "search/task" child per evaluation.
     with span("search/task", seed=int(task.seed)):
-        task = resolve_task_arrays(task)
         head = _build_task_head(task)
         train_result = train_head_on_outputs(
             head,
@@ -553,7 +432,6 @@ def evaluate_task_batch(tasks: Sequence[EvaluationTask]) -> List[EvaluationOutco
     batched trainer.  Outcomes are **bit-identical** to mapping
     :func:`evaluate_task` over the tasks, in input order.
     """
-    tasks = [resolve_task_arrays(task) for task in tasks]
     outcomes: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
     group_indices: List[List[int]] = []
     for index, task in enumerate(tasks):
@@ -636,8 +514,7 @@ class MuffinSearch:
             self.eval_dataset, self.attributes, backend=self.head_config.backend
         )
         # Proxy labels/weights are assembled once: every task of the search
-        # shares these exact arrays, which also gives the shared-memory
-        # transport (keyed on array identity) one stable segment per array.
+        # shares these exact arrays.
         self._proxy_labels = self.proxy.dataset.labels[self.proxy.indices]
         self._proxy_weights = np.asarray(self.proxy.sample_weights, dtype=np.float64)
         #: cumulative wall-clock spent scoring predictions in the engine
@@ -652,11 +529,6 @@ class MuffinSearch:
         self._memo: Dict[Tuple[FusingCandidate, int], EpisodeRecord] = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        #: cumulative task-payload bytes for process-crossing dispatches:
-        #: ``task_bytes_raw`` is what pickling the arrays would have shipped,
-        #: ``task_bytes_shipped`` what actually crossed the boundary
-        self.task_bytes_raw = 0
-        self.task_bytes_shipped = 0
 
     # ------------------------------------------------------------------
     # Candidate evaluation
@@ -718,17 +590,6 @@ class MuffinSearch:
             proxy_weights=self._proxy_weights,
             eval_outputs=eval_outputs,
             eval_member_labels=eval_member_labels,
-        )
-
-    def _ship_task(self, task: EvaluationTask) -> EvaluationTask:
-        """The shared-memory form of ``task``: arrays become descriptors."""
-        self._cache.enable_shared_transport()
-        return replace(
-            task,
-            **{
-                name: self._cache.share_array(getattr(task, name))
-                for name in TASK_ARRAY_FIELDS
-            },
         )
 
     def _records_from_outcomes(
@@ -851,23 +712,11 @@ class MuffinSearch:
                     executor = build_executor(
                         self.search_config.executor, self.search_config.max_workers
                     )
-                # Process-crossing executors advertise it; their tasks swap
-                # ndarray payloads for shared-memory descriptors so each
-                # cached matrix crosses the boundary as a ~100-byte triple.
-                if getattr(executor, "ships_tasks_across_processes", False):
-                    tasks = [self._ship_task(task) for task in tasks]
-                    for task in tasks:
-                        raw, shipped = task_payload_bytes(task)
-                        self.task_bytes_raw += raw
-                        self.task_bytes_shipped += shipped
-                        _TASK_BYTES_TOTAL.inc(raw, kind="raw")
-                        _TASK_BYTES_TOTAL.inc(shipped, kind="shipped")
                 try:
                     outcomes = list(executor.map(evaluate_task, tasks))
                 finally:
                     if own_executor:
                         executor.shutdown()
-                        self._cache.release_shared_segments()
             self.train_seconds += time.perf_counter() - train_start
 
         fresh_records = self._records_from_outcomes(
@@ -976,8 +825,6 @@ class MuffinSearch:
         memo_misses_before = self.memo_misses
         metrics_seconds_before = self.metrics_seconds
         train_seconds_before = self.train_seconds
-        bytes_raw_before = self.task_bytes_raw
-        bytes_shipped_before = self.task_bytes_shipped
         # Request-level cache counters: per-model and concatenated lookups.
         cache_hits_before = self._cache.hits + self._cache.concat_hits
         cache_misses_before = self._cache.misses + self._cache.concat_misses
@@ -1054,10 +901,6 @@ class MuffinSearch:
                 batch_counter += 1
         finally:
             executor.shutdown()
-            # Shared segments live exactly as long as their executor: unlink
-            # on shutdown (no-op when the transport never activated), and a
-            # later run simply re-exports from the still-valid cache.
-            self._cache.release_shared_segments()
 
         stats = ExecutionStats(
             executor=config.executor,
@@ -1073,8 +916,6 @@ class MuffinSearch:
             metrics_seconds=self.metrics_seconds - metrics_seconds_before,
             train_seconds=self.train_seconds - train_seconds_before,
             backend=self.head_config.backend,
-            task_bytes_raw=self.task_bytes_raw - bytes_raw_before,
-            task_bytes_shipped=self.task_bytes_shipped - bytes_shipped_before,
         )
         return MuffinSearchResult(
             records=records,

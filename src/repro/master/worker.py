@@ -50,7 +50,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Shares the executor metric family of :mod:`repro.core.execution`
-#: (declarations are get-or-create, so identical schemas unify).
+#: (declarations are get-or-create, so identical schemas unify); the queue
+#: wait is this executor's own (dispatch to first frame on a worker).
 _TASKS_TOTAL = METRICS.counter(
     "repro_executor_tasks_total",
     "Tasks dispatched through executor.map, by executor.",
@@ -164,14 +165,6 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     finally:
         stop.set()
-        # Detach (never unlink) any shared-memory task arrays this worker
-        # attached.  The master owns the segments, which is what keeps the
-        # watchdog's SIGTERM/SIGKILL path safe too: a killed worker skips
-        # this block, but its mappings die with the process and the
-        # master-side registry still unlinks the segments on shutdown.
-        from ..core.sharedmem import detach_all
-
-        detach_all()
         try:
             sock.close()
         except OSError:
@@ -239,13 +232,10 @@ class DistributedExecutor:
     codec of :mod:`repro.master.protocol`, so seeded searches stay
     bit-identical to the ``serial`` executor.
 
-    Not thread-safe: one ``map`` at a time, like the pooled executors.
+    Not thread-safe: one ``map`` at a time.
     """
 
     name = "distributed"
-    #: task payloads cross a process boundary (pickled over the socket), so
-    #: the search ships large arrays as shared-memory descriptors instead
-    ships_tasks_across_processes = True
 
     def __init__(
         self,

@@ -12,9 +12,8 @@ so the server coalesces concurrent requests into **micro-batches**:
   gathered;
 * the collected feature matrices are stacked into one
   :meth:`~repro.core.fusing.FusedModel.predict_detailed_features` forward
-  pass (member forwards optionally dispatched through a
-  :mod:`repro.core.execution` executor), and the results are sliced back to
-  the individual requests in submission order.
+  pass, and the results are sliced back to the individual requests in
+  submission order.
 
 Because the forward pass is deterministic and row-independent, a batched
 response carries the same predicted labels as a one-request-at-a-time
@@ -41,7 +40,6 @@ from typing import Dict, List, Mapping, Optional, Union
 import numpy as np
 
 from ..core.backend import DEFAULT_BACKEND, get_backend
-from ..core.execution import build_executor
 from ..core.fusing import FusedModel
 from ..utils.logging import RunLogger
 from ..zoo.persistence import load_fused_model
@@ -68,10 +66,6 @@ class ServeConfig:
     batch_window_ms: float = 5.0
     #: maximum sample rows coalesced into one forward pass
     max_batch: int = 64
-    #: registered executor dispatching the independent member forwards
-    #: ('serial', 'thread' or 'process'); results are identical across them
-    executor: str = "serial"
-    max_workers: Optional[int] = None
     #: sliding-window size of the online fairness monitor (labelled samples)
     monitor_window: int = 512
     #: emit one structured fairness log row per this many labelled samples
@@ -178,12 +172,10 @@ class InferenceServer:
             logger=self.logger,
         )
         self._backend = get_backend(self.config.backend)
-        self._executor = build_executor(self.config.executor, self.config.max_workers)
         self.pool = ShardPool(
             model,
             self.config,
             backend=self._backend,
-            executor=self._executor,
             logger=self.logger,
             monitor=self.monitor,
         )
@@ -207,7 +199,6 @@ class InferenceServer:
         when ``timeout`` expires are failed with ``ServerClosed`` — never
         left hanging."""
         self.pool.drain(timeout=timeout)
-        self._executor.shutdown()
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -311,7 +302,6 @@ class InferenceServer:
             "config": {
                 "batch_window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
-                "executor": self.config.executor,
                 "backend": self.config.backend,
                 "num_shards": self.config.num_shards,
                 "queue_depth": self.config.queue_depth,

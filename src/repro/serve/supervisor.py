@@ -371,9 +371,7 @@ class Shard:
         # For the float64 backend this cast is a no-op (bit-identical); for
         # float32 it halves the batch before the member forwards.
         stacked = pool.backend.asarray(stacked)
-        detailed = self.model.predict_detailed_features(
-            stacked, executor=pool.executor
-        )
+        detailed = self.model.predict_detailed_features(stacked)
         now = time.perf_counter()
         offset = 0
         return_probabilities = pool.config.return_probabilities
@@ -418,14 +416,12 @@ class ShardPool:
         model,
         config,
         backend,
-        executor,
         logger: Optional[RunLogger] = None,
         monitor=None,
     ) -> None:
         self.model = model
         self.config = config
         self.backend = backend
-        self.executor = executor
         self.logger = logger or RunLogger(name="serve-pool", verbose=False)
         self.monitor = monitor
         self.plan: Optional[FaultPlan] = config.fault_plan

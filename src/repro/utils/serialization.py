@@ -48,7 +48,7 @@ def _read_umask() -> int:
 
     ``os.umask`` can only be *read* by setting it, which is process-wide and
     races any concurrently file-creating thread (the inference server and
-    the thread executor make this a multithreaded process) — so the
+    the master make this a multithreaded process) — so the
     set-and-restore dance must never run per call.
     """
     umask = os.umask(0o022)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import (
+    EXECUTORS,
     DatasetSpec,
     ExecutionSpec,
     FinalizeSpec,
@@ -14,6 +15,7 @@ from repro.api import (
     SearchSpec,
     SpecError,
 )
+from repro.core import SearchConfig
 
 
 def make_spec(**overrides) -> RunSpec:
@@ -131,7 +133,7 @@ class TestHashing:
         """Executors change how fast a run computes, never what it computes."""
         serial = make_spec()
         parallel = make_spec(
-            execution=ExecutionSpec(executor="process", max_workers=4, memoize=False)
+            execution=ExecutionSpec(executor="distributed", max_workers=4, memoize=False)
         )
         assert serial.spec_hash() == parallel.spec_hash()
         for stage in ("dataset", "split", "pool", "search", "finalize", "report"):
@@ -140,10 +142,10 @@ class TestHashing:
 
 class TestExecutionSpec:
     def test_round_trip(self):
-        spec = make_spec(execution=ExecutionSpec(executor="thread", max_workers=3))
+        spec = make_spec(execution=ExecutionSpec(executor="distributed", max_workers=3))
         loaded = RunSpec.from_json(spec.to_json())
         assert loaded == spec
-        assert loaded.execution.executor == "thread"
+        assert loaded.execution.executor == "distributed"
         assert loaded.execution.max_workers == 3
 
     def test_defaults_are_serial_and_memoised(self):
@@ -153,16 +155,30 @@ class TestExecutionSpec:
         assert execution.memoize is True
 
     def test_unknown_executor_rejected_with_suggestion(self):
-        with pytest.raises(SpecError, match="thread"):
-            ExecutionSpec(executor="thread-pool")
+        with pytest.raises(SpecError, match="did you mean 'distributed'"):
+            ExecutionSpec(executor="distributd")
+
+    def test_removed_pool_executors_rejected(self):
+        """Only the serial reference and the supervised distributed fan-out
+        remain; the old thread/process pool names fail at config time."""
+        assert EXECUTORS.names() == ["serial", "distributed"]
+        with pytest.raises(SpecError) as spec_error:
+            ExecutionSpec(executor="thread")
+        with pytest.raises(ValueError) as config_error:
+            SearchConfig(executor="process")
+        for error in (spec_error, config_error):
+            assert "'serial'" in str(error.value)
+            assert "'distributed'" in str(error.value)
 
     def test_non_positive_max_workers_rejected(self):
         with pytest.raises(SpecError):
             ExecutionSpec(max_workers=0)
 
     def test_search_config_carries_execution_knobs(self):
-        config = SearchSpec().search_config(ExecutionSpec(executor="thread", max_workers=2))
-        assert config.executor == "thread"
+        config = SearchSpec().search_config(
+            ExecutionSpec(executor="distributed", max_workers=2)
+        )
+        assert config.executor == "distributed"
         assert config.max_workers == 2
         assert config.memoize is True
         # Omitting the execution spec keeps the SearchConfig defaults.

@@ -239,25 +239,7 @@ class TestExecutors:
         with pytest.raises(ValueError):
             SearchConfig(max_workers=0)
         # Aliases resolve through the registry.
-        assert SearchConfig(executor="threads").executor == "threads"
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_executors_match_serial_bit_exactly(self, pool, executor):
-        """Seeded records are bit-identical across serial/thread/process."""
-        serial = _small_search(pool, executor="serial").run()
-        parallel = _small_search(pool, executor=executor, max_workers=2).run()
-
-        assert [r.candidate for r in serial.records] == [r.candidate for r in parallel.records]
-        assert [r.reward for r in serial.records] == [r.reward for r in parallel.records]
-        for record_a, record_b in zip(serial.records, parallel.records):
-            assert record_a.evaluation.accuracy == record_b.evaluation.accuracy
-            assert record_a.evaluation.unfairness == record_b.evaluation.unfairness
-            assert record_a.train_losses == record_b.train_losses
-            assert set(record_a.head_state) == set(record_b.head_state)
-            for key in record_a.head_state:
-                np.testing.assert_array_equal(record_a.head_state[key], record_b.head_state[key])
-        assert serial.execution_stats.executor == "serial"
-        assert parallel.execution_stats.executor == executor
+        assert SearchConfig(executor="workers").executor == "workers"
 
     def test_run_reports_execution_stats(self, pool):
         result = _small_search(pool).run()

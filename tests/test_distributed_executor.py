@@ -1,5 +1,5 @@
-"""DistributedExecutor tests: bit-identity with serial, worker supervision,
-crash recovery, and the ProcessExecutor crash-diagnosis satellite."""
+"""DistributedExecutor tests: bit-identity with serial, worker supervision
+and crash recovery."""
 
 import os
 import signal
@@ -48,7 +48,7 @@ class TestRegistry:
 
     def test_distributed_only_options_filtered_for_others(self):
         # The distributed knobs ride through configs without breaking the
-        # pooled executors, which simply ignore them.
+        # serial executor, which simply ignores them.
         executor = build_executor("serial", task_retries=5, heartbeat_seconds=0.1)
         assert executor.map(abs, [-1, 2]) == [1, 2]
 
@@ -150,27 +150,3 @@ class TestSearchBitIdentity:
             for key in record_a.head_state:
                 np.testing.assert_array_equal(record_a.head_state[key], record_b.head_state[key])
         assert distributed.execution_stats.executor == "distributed"
-
-
-class TestProcessExecutorCrashDiagnosis:
-    def test_broken_pool_names_task_and_fallback(self):
-        """A crashed process-pool worker no longer surfaces as a bare
-        BrokenProcessPool: the error names the task and the serial fallback."""
-        executor = build_executor("process", max_workers=2)
-        try:
-            with pytest.raises(
-                ExecutorWorkerError, match=r"task \d+ of 2.*--executor serial"
-            ) as excinfo:
-                executor.map(die_task, [0, 1])
-            assert "process-pool worker died" in str(excinfo.value)
-        finally:
-            executor.shutdown()
-
-    def test_pool_usable_after_crash(self):
-        executor = build_executor("process", max_workers=2)
-        try:
-            with pytest.raises(ExecutorWorkerError):
-                executor.map(die_task, [0, 1])
-            assert executor.map(echo_task, [1, 2, 3]) == [1, 2, 3]
-        finally:
-            executor.shutdown()

@@ -265,7 +265,6 @@ class TestProcessWideRegistry:
             "repro_distributed_task_bytes_total",
             "repro_search_batches_total",
             "repro_search_episodes_total",
-            "repro_search_task_bytes_total",
         ):
             assert expected in names
         assert names.count("repro_executor_tasks_total") == 1

@@ -81,22 +81,6 @@ class TestRawFeaturePath:
             detailed.probabilities.argmax(axis=1), detailed.predictions
         )
 
-    def test_member_forwards_identical_across_executors(
-        self, fused_model, serving_schema, isic_split
-    ):
-        from repro.core import build_executor
-
-        features = serving_schema.features(isic_split.val)
-        serial = fused_model.predict_proba_features(features, serving_schema)
-        executor = build_executor("thread", max_workers=2)
-        try:
-            threaded = fused_model.predict_proba_features(
-                features, serving_schema, executor=executor
-            )
-        finally:
-            executor.shutdown()
-        np.testing.assert_array_equal(serial, threaded)
-
     def test_schema_required(self, fused_model, serving_schema, isic_split):
         features = serving_schema.features(isic_split.test)
         assert fused_model.schema is None

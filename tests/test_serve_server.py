@@ -129,13 +129,6 @@ class TestMicroBatcher:
             with pytest.raises(ValueError, match="expected features"):
                 server.submit(np.zeros((2, 3)))
 
-    def test_thread_executor_serves_identical_predictions(
-        self, bound_model, serving_features, direct_predictions
-    ):
-        with make_server(bound_model, executor="thread", max_workers=3) as server:
-            response = ServeClient(server).predict(serving_features[:25])
-            np.testing.assert_array_equal(response.predictions, direct_predictions[:25])
-
 
 class TestFairnessMonitor:
     def test_windowed_metrics_match_offline_engine(
