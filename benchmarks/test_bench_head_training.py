@@ -38,7 +38,6 @@ import time
 
 import numpy as np
 
-from repro.bench import identity_only
 from repro.core import DEFAULT_ACTIVATIONS, HeadTrainConfig
 from repro.core.backend import assert_backend_close, get_backend
 from repro.core.fusing import MuffinHead
@@ -86,7 +85,7 @@ def _assert_identical(ref_heads, ref_results, fused_heads, fused_results):
             assert np.array_equal(ref_state[key], fused_state[key]), key
 
 
-def test_bench_head_training_identity_and_speed():
+def test_bench_head_training_identity_and_speed(identity_only):
     outputs, labels, weights = _workload()
     autograd_config = HeadTrainConfig(epochs=EPOCHS, seed=0, use_fused=False)
     fused_config = HeadTrainConfig(epochs=EPOCHS, seed=0, use_fused=True)
@@ -123,7 +122,7 @@ def test_bench_head_training_identity_and_speed():
         f"{fused_seconds:.3f}s, speedup x{speedup:.1f} ({cpus} CPUs)"
     )
 
-    if identity_only():
+    if identity_only:
         return  # constrained runner: identity verified, timing skipped
     if cpus < 2:
         # Single-core containers are memory-bandwidth-bound: both paths push

@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from repro.bench import identity_only
 from repro.data import SyntheticISIC2019
 from repro.fairness import EvaluationEngine, FairnessEvaluation
 
@@ -88,7 +87,7 @@ def _candidate_predictions(dataset, num_candidates):
     return stacked
 
 
-def test_bench_metrics_engine_identity_and_speed():
+def test_bench_metrics_engine_identity_and_speed(identity_only):
     dataset = SyntheticISIC2019(num_samples=NUM_SAMPLES, seed=2019)
     stacked = _candidate_predictions(dataset, NUM_CANDIDATES)
 
@@ -124,7 +123,7 @@ def test_bench_metrics_engine_identity_and_speed():
         f"engine {engine_seconds:.4f}s, speedup x{speedup:.1f}"
     )
 
-    if identity_only():
+    if identity_only:
         return  # constrained runner: identity verified, timing skipped
     # The scalar loop allocates one mask per group per candidate; the engine
     # does a few matmuls.  The gap is an order of magnitude on any hardware,

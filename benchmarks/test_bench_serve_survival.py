@@ -23,7 +23,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import identity_only
 from repro.core import FusedModel
 from repro.core.search_space import FusingCandidate
 from repro.data import FeatureSchema, SyntheticISIC2019, split_dataset
@@ -99,7 +98,7 @@ def _open_loop_run(server, features):
     return pending, elapsed
 
 
-def test_sustained_load_meets_p99_slo(serving_setup):
+def test_sustained_load_meets_p99_slo(serving_setup, identity_only):
     """Healthy 2-shard pool under open-loop load: identity + p99 SLO."""
     fused, features, reference = serving_setup
     server = _make_server(fused).start()
@@ -120,12 +119,12 @@ def test_sustained_load_meets_p99_slo(serving_setup):
         )
     finally:
         server.stop()
-    if identity_only():
+    if identity_only:
         pytest.skip("REPRO_BENCH_IDENTITY_ONLY=1: p99 SLO assertion skipped")
     assert p99 <= P99_SLO_MS, f"p99 {p99:.1f}ms blew the {P99_SLO_MS:.0f}ms SLO"
 
 
-def test_shard_kill_recovers_with_zero_lost_requests(serving_setup):
+def test_shard_kill_recovers_with_zero_lost_requests(serving_setup, identity_only):
     """Kill shard 0 mid-burst: zero losses, bit-identity, bounded recovery."""
     fused, features, reference = serving_setup
     plan = FaultPlan([FaultEvent(kind="crash_shard", shard=0, at_batch=1)])
@@ -169,7 +168,7 @@ def test_shard_kill_recovers_with_zero_lost_requests(serving_setup):
         )
     finally:
         server.stop()
-    if identity_only():
+    if identity_only:
         pytest.skip("REPRO_BENCH_IDENTITY_ONLY=1: recovery-rate assertion skipped")
     assert post_throughput >= 0.5 * throughput, (
         f"post-recovery throughput {post_throughput:,.0f} req/s fell below "

@@ -33,12 +33,6 @@ Subcommand families:
   rewards, proxy builders, selection strategies, architectures, executors,
   backends, experiments); ``--check`` also audits registry consistency.
 
-* ``bench`` — run the hot-path micro-benchmarks (head training, metrics
-  engine) once per array backend and emit machine-readable records::
-
-      python -m repro bench --json bench.json
-      python -m repro bench --backend numpy-float32 --rounds 5
-
 * ``trace`` — render a span trace file (written when a spec sets
   ``obs.trace_path``) as a tree with total/self times::
 
@@ -213,9 +207,7 @@ def _run_command(argv: Sequence[str]) -> int:
             print(
                 f"search executor: {stats.executor} (workers={stats.max_workers}), "
                 f"backend {stats.backend}, "
-                f"memo {stats.memo_hits} hits / {stats.memo_misses} misses, "
-                f"metrics {stats.metrics_seconds:.3f}s, "
-                f"training {stats.train_seconds:.3f}s{suffix}"
+                f"memo {stats.memo_hits} hits / {stats.memo_misses} misses{suffix}"
             )
         if cache_dir is not None:
             print(f"cache: {cache_dir}")
@@ -635,12 +627,6 @@ def _lint_command(argv: Sequence[str]) -> int:
     return lint_main(argv)
 
 
-def _bench_command(argv: Sequence[str]) -> int:
-    from .bench import main as bench_main
-
-    return bench_main(argv)
-
-
 def _trace_command(argv: Sequence[str]) -> int:
     from .obs.trace import main as trace_main
 
@@ -669,8 +655,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _components_command(argv[1:])
     if argv and argv[0] == "lint":
         return _lint_command(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_command(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_command(argv[1:])
     # Legacy interface: experiment ids for the paper harness.

@@ -306,79 +306,52 @@ class MuffinPipeline:
     def _execute(self, stage: str, use_cache: bool) -> None:
         stage_hash = self.spec.stage_hash(stage)
         with span(f"pipeline/stage/{stage}", hash=stage_hash):
-            self._execute_timed(stage, stage_hash, use_cache)
-
-    def _execute_timed(self, stage: str, stage_hash: str, use_cache: bool) -> None:
-        start = time.perf_counter()
-        status, detail = "ran", ""
-        loader = getattr(self, f"_load_{stage}", None)
-        cached_entry = self._manifest.get(stage, {})
-        # Artifacts are keyed by stage hash on disk, so a matching artifact is
-        # valid regardless of what the (last-run) manifest says — a shared
-        # cache_dir alternating between specs still hits every cache.
-        if use_cache and loader is not None and self.cache_dir is not None:
-            try:
-                self._artifacts[stage] = loader(stage_hash)
-                status = "cached"
-                detail = self._artifact_name(stage, stage_hash)
-            except (FileNotFoundError, KeyError, ValueError) as exc:
-                detail = f"cache miss ({exc.__class__.__name__}); recomputed"
-                status = "ran"
-        if status != "cached":
-            builder = getattr(self, f"_stage_{stage}")
-            self._artifacts[stage] = builder()
-            if loader is None and cached_entry.get("hash") == stage_hash:
-                status = "rebuilt"  # deterministic stage, cheap to rebuild
-            artifact = self._persist(stage, stage_hash)
-            if artifact:
-                detail = artifact
-            if stage == "search":
-                stats = getattr(self._artifacts["search"], "execution_stats", None)
-                if stats is not None:
-                    memo = (
-                        f"executor={stats.executor} backend={stats.backend} "
-                        f"memo={stats.memo_hits}h/{stats.memo_misses}m"
-                    )
-                    detail = f"{detail}; {memo}" if detail else memo
-        seconds = time.perf_counter() - start
-        self.timings.append(
-            StageTiming(stage=stage, status=status, seconds=seconds, hash=stage_hash, detail=detail)
-        )
-        _STAGES_TOTAL.inc(stage=stage, status=status)
-        _STAGE_SECONDS.observe(seconds, stage=stage)
-        self.logger.log(stage=stage, status=status, seconds=round(seconds, 3))
-        if stage == "search" and status == "ran":
-            # Surface the vectorized-engine and head-training shares of the
-            # search wall-clock as their own timings buckets (both are
-            # subsets of the search seconds).
-            stats = getattr(self._artifacts["search"], "execution_stats", None)
-            if stats is not None:
-                self.timings.append(
-                    StageTiming(
-                        stage="metrics",
-                        status="ran",
-                        seconds=float(stats.metrics_seconds),
-                        hash=stage_hash,
-                        detail="vectorized fairness evaluation inside the search stage",
-                    )
+            start = time.perf_counter()
+            status, detail = "ran", ""
+            loader = getattr(self, f"_load_{stage}", None)
+            cached_entry = self._manifest.get(stage, {})
+            # Artifacts are keyed by stage hash on disk, so a matching artifact
+            # is valid regardless of what the (last-run) manifest says — a
+            # shared cache_dir alternating between specs still hits every cache.
+            if use_cache and loader is not None and self.cache_dir is not None:
+                try:
+                    self._artifacts[stage] = loader(stage_hash)
+                    status = "cached"
+                    detail = self._artifact_name(stage, stage_hash)
+                except (FileNotFoundError, KeyError, ValueError) as exc:
+                    detail = f"cache miss ({exc.__class__.__name__}); recomputed"
+                    status = "ran"
+            if status != "cached":
+                builder = getattr(self, f"_stage_{stage}")
+                self._artifacts[stage] = builder()
+                if loader is None and cached_entry.get("hash") == stage_hash:
+                    status = "rebuilt"  # deterministic stage, cheap to rebuild
+                artifact = self._persist(stage, stage_hash)
+                if artifact:
+                    detail = artifact
+                if stage == "search":
+                    stats = getattr(self._artifacts["search"], "execution_stats", None)
+                    if stats is not None:
+                        memo = (
+                            f"executor={stats.executor} backend={stats.backend} "
+                            f"memo={stats.memo_hits}h/{stats.memo_misses}m"
+                        )
+                        detail = f"{detail}; {memo}" if detail else memo
+            seconds = time.perf_counter() - start
+            self.timings.append(
+                StageTiming(
+                    stage=stage, status=status, seconds=seconds, hash=stage_hash, detail=detail
                 )
-                self.timings.append(
-                    StageTiming(
-                        stage="training",
-                        status="ran",
-                        seconds=float(stats.train_seconds),
-                        hash=stage_hash,
-                        detail="muffin-head training inside the search stage "
-                        "(fused batched kernels unless use_fused is disabled; "
-                        f"backend={stats.backend})",
-                    )
-                )
-        self._manifest[stage] = {
-            "hash": stage_hash,
-            "seconds": round(seconds, 4),
-            "artifact": detail,
-        }
-        self._save_manifest()
+            )
+            _STAGES_TOTAL.inc(stage=stage, status=status)
+            _STAGE_SECONDS.observe(seconds, stage=stage)
+            self.logger.log(stage=stage, status=status, seconds=round(seconds, 3))
+            self._manifest[stage] = {
+                "hash": stage_hash,
+                "seconds": round(seconds, 4),
+                "artifact": detail,
+            }
+            self._save_manifest()
 
     # ------------------------------------------------------------------
     # Stage builders

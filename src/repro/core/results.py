@@ -38,6 +38,8 @@ class ExecutionStats:
     ``(candidate, seed)`` memo without retraining a head (re-sampled
     structures, common late in the search when the controller converges);
     the body-cache counters track the shared frozen-body probability cache.
+    ``eval_seconds`` is the whole run's wall-clock; its head-training and
+    scoring shares are the ``search/train`` and ``search/score`` spans.
     """
 
     executor: str = "serial"
@@ -48,15 +50,6 @@ class ExecutionStats:
     body_cache_hits: int = 0
     body_cache_misses: int = 0
     eval_seconds: float = 0.0
-    #: wall-clock spent inside the vectorized metrics engine (a subset of
-    #: ``eval_seconds``): the search's per-batch fairness scoring
-    metrics_seconds: float = 0.0
-    #: wall-clock of the candidate-evaluation work (a subset of
-    #: ``eval_seconds``): head training — fused batched kernels, or the
-    #: executor-mapped autograd loop — plus each candidate's evaluation
-    #: forward/arbitration and, for the distributed executor, the lazy
-    #: worker spin-up on the first batch
-    train_seconds: float = 0.0
     #: array backend the run's fused kernels and metrics engine used
     #: (``repro.core.backend``); 'numpy-float64' is the bit-identical default
     backend: str = "numpy-float64"
@@ -71,8 +64,6 @@ class ExecutionStats:
             "body_cache_hits": self.body_cache_hits,
             "body_cache_misses": self.body_cache_misses,
             "eval_seconds": round(float(self.eval_seconds), 4),
-            "metrics_seconds": round(float(self.metrics_seconds), 4),
-            "train_seconds": round(float(self.train_seconds), 4),
             "backend": self.backend,
         }
 
@@ -87,8 +78,6 @@ class ExecutionStats:
             body_cache_hits=int(payload.get("body_cache_hits", 0)),
             body_cache_misses=int(payload.get("body_cache_misses", 0)),
             eval_seconds=float(payload.get("eval_seconds", 0.0)),
-            metrics_seconds=float(payload.get("metrics_seconds", 0.0)),
-            train_seconds=float(payload.get("train_seconds", 0.0)),
             backend=str(payload.get("backend", "numpy-float64")),
         )
 

@@ -203,10 +203,10 @@ class BodyOutputCache:
     """Caches each pool model's class probabilities on fixed index sets.
 
     Entries are keyed on the *dataset identity* (a content fingerprint) and
-    a fingerprint of the index array — not on a caller-supplied tag — so one
-    cache can be shared across searches and pipeline stages with different
-    proxy builders or evaluation partitions without ever returning stale
-    probabilities for the wrong index set.
+    a fingerprint of the index array, so one cache can be shared across
+    searches and pipeline stages with different proxy builders or
+    evaluation partitions without ever returning stale probabilities for
+    the wrong index set.
     """
 
     #: LRU bound on memoised concatenated matrices (re-derivable from the
@@ -236,13 +236,8 @@ class BodyOutputCache:
         model_name: str,
         dataset: FairnessDataset,
         indices: Optional[np.ndarray] = None,
-        tag: Optional[str] = None,
     ) -> np.ndarray:
-        """Cached ``model.predict_proba(dataset, indices)``.
-
-        ``tag`` is kept for backward compatibility as a human-readable label
-        only; it no longer participates in the cache key.
-        """
+        """Cached ``model.predict_proba(dataset, indices)``."""
         key = (model_name, dataset_fingerprint(dataset), _indices_fingerprint(indices))
         if key not in self._cache:
             self.misses += 1
@@ -257,7 +252,6 @@ class BodyOutputCache:
         model_names: Sequence[str],
         dataset: FairnessDataset,
         indices: Optional[np.ndarray] = None,
-        tag: Optional[str] = None,
     ) -> np.ndarray:
         """Cached concatenation of the selected models' probability matrices.
 
@@ -276,7 +270,7 @@ class BodyOutputCache:
         if key not in self._concatenated:
             self.concat_misses += 1
             self._concatenated[key] = np.concatenate(
-                [self.probabilities(name, dataset, indices, tag) for name in model_names],
+                [self.probabilities(name, dataset, indices) for name in model_names],
                 axis=1,
             )
             while len(self._concatenated) > self.MAX_CONCATENATED_ENTRIES:
@@ -517,12 +511,6 @@ class MuffinSearch:
         # shares these exact arrays.
         self._proxy_labels = self.proxy.dataset.labels[self.proxy.indices]
         self._proxy_weights = np.asarray(self.proxy.sample_weights, dtype=np.float64)
-        #: cumulative wall-clock spent scoring predictions in the engine
-        self.metrics_seconds = 0.0
-        #: cumulative wall-clock of candidate-evaluation work: head training
-        #: (the fused-kernel hot path) plus each candidate's evaluation
-        #: forward and arbitration
-        self.train_seconds = 0.0
         self._rng = get_rng(self.search_config.seed)
         self.logger = RunLogger(name="muffin-search", verbose=self.search_config.verbose)
         #: (candidate, seed) -> EpisodeRecord memo shared by every run()
@@ -558,25 +546,19 @@ class MuffinSearch:
         """
         from .. import nn
 
-        eval_probs = self._cache.concatenated(
-            candidate.model_names, self.eval_dataset, None, tag=self.search_config.eval_partition
-        )
+        eval_probs = self._cache.concatenated(candidate.model_names, self.eval_dataset, None)
         head_predictions = fused.head(nn.Tensor(eval_probs)).data.argmax(axis=-1)
         member_labels = self._cache.member_labels(candidate.model_names, self.eval_dataset)
         arbitrated = consensus_arbitrate_labels(member_labels, head_predictions)
-        start = time.perf_counter()
-        evaluation = self._eval_engine.evaluate(arbitrated.predictions).evaluation(0)
-        self.metrics_seconds += time.perf_counter() - start
-        return evaluation
+        with span("search/score", candidates=1):
+            return self._eval_engine.evaluate(arbitrated.predictions).evaluation(0)
 
     def _task_for(self, candidate: FusingCandidate, seed: int) -> EvaluationTask:
         """Assemble the picklable evaluation task of one candidate."""
         proxy_outputs = self._cache.concatenated(
-            candidate.model_names, self.proxy.dataset, self.proxy.indices, tag="proxy"
+            candidate.model_names, self.proxy.dataset, self.proxy.indices
         )
-        eval_outputs = self._cache.concatenated(
-            candidate.model_names, self.eval_dataset, None, tag=self.search_config.eval_partition
-        )
+        eval_outputs = self._cache.concatenated(candidate.model_names, self.eval_dataset, None)
         eval_member_labels = self._cache.member_labels(candidate.model_names, self.eval_dataset)
         return EvaluationTask(
             model_names=tuple(candidate.model_names),
@@ -609,17 +591,16 @@ class MuffinSearch:
         """
         if not outcomes:
             return []
-        start = time.perf_counter()
-        batch = self._eval_engine.evaluate(
-            np.stack([outcome.predictions for outcome in outcomes])
-        )
-        evaluations = batch.evaluations()
-        compute_batch = getattr(self.reward, "compute_batch", None)
-        if compute_batch is not None:
-            rewards = [float(value) for value in compute_batch(batch)]
-        else:
-            rewards = [float(self.reward(evaluation)) for evaluation in evaluations]
-        self.metrics_seconds += time.perf_counter() - start
+        with span("search/score", candidates=len(outcomes)):
+            batch = self._eval_engine.evaluate(
+                np.stack([outcome.predictions for outcome in outcomes])
+            )
+            evaluations = batch.evaluations()
+            compute_batch = getattr(self.reward, "compute_batch", None)
+            if compute_batch is not None:
+                rewards = [float(value) for value in compute_batch(batch)]
+            else:
+                rewards = [float(self.reward(evaluation)) for evaluation in evaluations]
 
         records: List[EpisodeRecord] = []
         for candidate, outcome, episode, evaluation, reward_value in zip(
@@ -697,27 +678,26 @@ class MuffinSearch:
         outcomes: List[EvaluationOutcome] = []
         if to_evaluate:
             tasks = [self._task_for(candidate, seed) for candidate, seed in to_evaluate]
-            train_start = time.perf_counter()
             # Under use_fused the whole batch trains simultaneously through
             # the fused batched kernels on the calling thread (nothing left
             # to parallelise); only the oracle (use_fused=False) dispatches
             # per-candidate autograd training through the executor.  Results
             # are bit-identical either way, so the choice only moves
             # wall-clock.
-            if self.head_config.use_fused:
-                outcomes = evaluate_task_batch(tasks)
-            else:
-                own_executor = executor is None
-                if own_executor:
-                    executor = build_executor(
-                        self.search_config.executor, self.search_config.max_workers
-                    )
-                try:
-                    outcomes = list(executor.map(evaluate_task, tasks))
-                finally:
+            with span("search/train", candidates=len(tasks)):
+                if self.head_config.use_fused:
+                    outcomes = evaluate_task_batch(tasks)
+                else:
+                    own_executor = executor is None
                     if own_executor:
-                        executor.shutdown()
-            self.train_seconds += time.perf_counter() - train_start
+                        executor = build_executor(
+                            self.search_config.executor, self.search_config.max_workers
+                        )
+                    try:
+                        outcomes = list(executor.map(evaluate_task, tasks))
+                    finally:
+                        if own_executor:
+                            executor.shutdown()
 
         fresh_records = self._records_from_outcomes(
             [candidate for candidate, _ in to_evaluate],
@@ -823,8 +803,6 @@ class MuffinSearch:
         records: List[EpisodeRecord] = []
         memo_hits_before = self.memo_hits
         memo_misses_before = self.memo_misses
-        metrics_seconds_before = self.metrics_seconds
-        train_seconds_before = self.train_seconds
         # Request-level cache counters: per-model and concatenated lookups.
         cache_hits_before = self._cache.hits + self._cache.concat_hits
         cache_misses_before = self._cache.misses + self._cache.concat_misses
@@ -913,8 +891,6 @@ class MuffinSearch:
             + self._cache.concat_misses
             - cache_misses_before,
             eval_seconds=time.perf_counter() - start_time,
-            metrics_seconds=self.metrics_seconds - metrics_seconds_before,
-            train_seconds=self.train_seconds - train_seconds_before,
             backend=self.head_config.backend,
         )
         return MuffinSearchResult(
@@ -976,7 +952,7 @@ class MuffinSearch:
         if record.head_state is None:
             # Heads were not stored during the search: retrain this one head.
             proxy_outputs = self._cache.concatenated(
-                record.candidate.model_names, self.proxy.dataset, self.proxy.indices, tag="proxy"
+                record.candidate.model_names, self.proxy.dataset, self.proxy.indices
             )
             train_head(fused, self.proxy, self.head_config, body_outputs=proxy_outputs)
         test_evaluation = (

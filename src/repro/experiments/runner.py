@@ -8,6 +8,7 @@ every table and figure of the paper and can persist the structured results
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -111,6 +112,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output-dir", default=None, help="directory for JSON artefacts")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    # ``python -m repro`` delegates anything that is not a subcommand here, so
+    # an unknown id is most often a mistyped command: reject it before any
+    # experiment runs.
+    for name in args.experiments:
+        if name not in EXPERIMENTS:
+            hint = ", ".join(f"'{match}'" for match in EXPERIMENTS.suggest(name))
+            print(
+                f"error: unknown command or experiment '{name}'"
+                + (f"; did you mean {hint}?" if hint else ""),
+                file=sys.stderr,
+            )
+            return 2
 
     context = ExperimentContext(_build_config(args.scale))
     run_all(

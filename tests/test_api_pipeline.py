@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import (
+    PIPELINE_STAGES,
     DatasetSpec,
     FinalizeSpec,
     MuffinPipeline,
@@ -47,17 +48,7 @@ def first_run(cache_dir):
 
 class TestPipelineRun:
     def test_all_stages_execute_in_order(self, first_run):
-        assert [t.stage for t in first_run.timings] == [
-            "dataset",
-            "split",
-            "pool",
-            "search",
-            "metrics",  # vectorized-engine share of the search wall-clock
-            "training",  # head-training share of the search wall-clock
-            "finalize",
-            "export",
-            "report",
-        ]
+        assert [t.stage for t in first_run.timings] == list(PIPELINE_STAGES)
         assert all(t.status == "ran" for t in first_run.timings)
         assert all(t.seconds >= 0 for t in first_run.timings)
 

@@ -114,6 +114,30 @@ class TestSerialisation:
         assert len(payload["records"]) == 4
         assert payload["summary"]["best_reward"] == 5.0
 
+    def test_from_dict_loads_stats_with_retired_timer_fields(self, result):
+        """Search artifacts written before the search's engine and training
+        timers became spans still carry those two fields; they still load."""
+        retired = {"metrics_" + "seconds": 0.2, "train_" + "seconds": 1.1}
+        payload = result.to_dict(include_state=True)
+        payload["execution_stats"] = {
+            "executor": "serial",
+            "max_workers": 1,
+            "episodes": 4,
+            "memo_hits": 1,
+            "memo_misses": 3,
+            "body_cache_hits": 10,
+            "body_cache_misses": 2,
+            "eval_seconds": 1.5,
+            "backend": "numpy-float64",
+            **retired,
+        }
+        loaded = MuffinSearchResult.from_dict(payload)
+        stats = loaded.execution_stats
+        assert (stats.episodes, stats.memo_hits, stats.memo_misses) == (4, 1, 3)
+        assert stats.eval_seconds == 1.5
+        assert not set(retired) & set(stats.to_dict())
+        assert loaded.result_hash() == result.result_hash()
+
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError):
             MuffinSearchResult([], attributes=["age"])

@@ -55,14 +55,14 @@ class TestBodyOutputCache:
     def test_cache_returns_same_arrays(self, pool):
         cache = BodyOutputCache(pool)
         test = pool.split.test
-        first = cache.probabilities("ResNet-18", test, None, tag="test")
-        second = cache.probabilities("ResNet-18", test, None, tag="test")
+        first = cache.probabilities("ResNet-18", test, None)
+        second = cache.probabilities("ResNet-18", test, None)
         assert first is second
 
     def test_concatenated_shape(self, pool):
         cache = BodyOutputCache(pool)
         test = pool.split.test
-        output = cache.concatenated(["ResNet-18", "DenseNet121"], test, None, tag="test")
+        output = cache.concatenated(["ResNet-18", "DenseNet121"], test, None)
         assert output.shape == (len(test), 2 * test.num_classes)
 
     def test_distinct_index_sets_are_not_aliased(self, pool):
@@ -75,15 +75,15 @@ class TestBodyOutputCache:
         train = pool.split.train
         first_indices = np.arange(10)
         second_indices = np.arange(10, 20)
-        cache.probabilities("ResNet-18", train, first_indices, tag="proxy")
-        stale_candidate = cache.probabilities("ResNet-18", train, second_indices, tag="proxy")
+        cache.probabilities("ResNet-18", train, first_indices)
+        stale_candidate = cache.probabilities("ResNet-18", train, second_indices)
         expected = pool.get("ResNet-18").predict_proba(train, second_indices)
         np.testing.assert_array_equal(stale_candidate, expected)
 
     def test_distinct_partitions_are_not_aliased(self, pool):
         cache = BodyOutputCache(pool)
-        cache.probabilities("ResNet-18", pool.split.val, None, tag="eval")
-        from_test = cache.probabilities("ResNet-18", pool.split.test, None, tag="eval")
+        cache.probabilities("ResNet-18", pool.split.val, None)
+        from_test = cache.probabilities("ResNet-18", pool.split.test, None)
         np.testing.assert_array_equal(
             from_test, pool.get("ResNet-18").predict_proba(pool.split.test, None)
         )
@@ -102,11 +102,9 @@ class TestBodyOutputCache:
 
         names = ["MobileNet_V3_Small", "ResNet-18"]
         weighted_outputs = cache.concatenated(
-            names, weighted.proxy.dataset, weighted.proxy.indices, tag="proxy"
+            names, weighted.proxy.dataset, weighted.proxy.indices
         )
-        uniform_outputs = cache.concatenated(
-            names, uniform.proxy.dataset, uniform.proxy.indices, tag="proxy"
-        )
+        uniform_outputs = cache.concatenated(names, uniform.proxy.dataset, uniform.proxy.indices)
         assert weighted_outputs.shape[0] == len(weighted.proxy)
         assert uniform_outputs.shape[0] == len(uniform.proxy)
         expected = np.concatenate(

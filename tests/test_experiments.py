@@ -55,6 +55,27 @@ class TestConfigs:
         with pytest.raises(KeyError):
             run_experiment("fig99", smoke_context)
 
+    @pytest.mark.parametrize(
+        "argv, bad_id", [(["bench"], "bench"), (["fig1", "fgi2"], "fgi2")]
+    )
+    def test_unknown_cli_id_exits_2_before_any_experiment_runs(
+        self, monkeypatch, capsys, argv, bad_id
+    ):
+        from repro.__main__ import main
+        from repro.experiments import runner
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an experiment ran despite an unknown id")
+
+        monkeypatch.setattr(runner, "run_all", must_not_run)
+        monkeypatch.setattr(runner, "ExperimentContext", must_not_run)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: unknown command or experiment '{bad_id}'")
+        if bad_id == "fgi2":
+            assert "did you mean 'fig2'" in err
+
 
 class TestObservationExperiments:
     def test_fig1_structure_and_claims(self, smoke_context):

@@ -16,6 +16,8 @@ every eligible head.  These tests enforce that promise:
 * structural eligibility of :func:`~repro.nn.fused.extract_fused_stack`.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from repro.core.fusing import MuffinHead
 from repro.core.search import evaluate_task, evaluate_task_batch
 from repro.core.trainer import train_head_on_outputs, train_heads_batched
 from repro.nn.fused import FusedParamBlock, extract_fused_stack
+from repro.obs import TraceWriter, install, load_spans, uninstall
 
 
 def _proxy(rng, n, num_classes, dim):
@@ -380,12 +383,24 @@ class TestSearchIntegration:
                     fused_record.head_state[key], reference_record.head_state[key]
                 )
 
-    def test_train_seconds_recorded(self, pool):
-        result = self._search(pool, use_fused=True).run()
-        stats = result.execution_stats
-        assert stats.train_seconds > 0.0
-        assert stats.train_seconds <= stats.eval_seconds
-        assert "train_seconds" in stats.to_dict()
+    def test_every_batch_traces_one_train_and_one_score_span(self, pool):
+        buffer = io.StringIO()
+        install(TraceWriter(buffer))
+        try:
+            self._search(pool, use_fused=True).run()
+        finally:
+            uninstall()
+        buffer.seek(0)
+        rows = load_spans(buffer)
+        batches = [row for row in rows if row["name"] == "search/batch"]
+        assert len(batches) == 2
+        for batch in batches:
+            children = [row for row in rows if row["parent_id"] == batch["span_id"]]
+            for name in ("search/train", "search/score"):
+                matching = [row for row in children if row["name"] == name]
+                assert len(matching) == 1
+                assert matching[0]["candidates"] == 3
+                assert matching[0]["duration_s"] <= batch["duration_s"]
 
 
 # ---------------------------------------------------------------------------
