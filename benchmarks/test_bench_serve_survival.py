@@ -65,7 +65,6 @@ def _make_server(fused, fault_plan=None):
     return InferenceServer(
         fused,
         ServeConfig(
-            batch_window_ms=2.0,
             max_batch=32,
             log_every=0,
             num_shards=2,

@@ -77,7 +77,7 @@ def _sequential_burst(fused, features):
 def _batched_burst(fused, features):
     """The same burst through the micro-batching server."""
     server = InferenceServer(
-        fused, ServeConfig(batch_window_ms=20.0, max_batch=BURST, log_every=0)
+        fused, ServeConfig(max_batch=BURST, log_every=0)
     )
     # Starting the shard threads is a one-off cost no served burst pays.
     server.start()

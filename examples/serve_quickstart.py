@@ -98,8 +98,7 @@ def check_metrics_exposition(text: str, expected_requests: int) -> None:
 def demo_overload_and_recovery(fused, features) -> None:
     """Admission control: typed immediate rejection, then recovery."""
     server = InferenceServer(
-        fused, ServeConfig(batch_window_ms=1.0, max_batch=8, queue_depth=4,
-                           log_every=0, retry_after_s=0.5)
+        fused, ServeConfig(max_batch=8, queue_depth=4, log_every=0, retry_after_s=0.5)
     )
     # fill the only queue before the workers start: every slot taken
     sample = features[:1]
@@ -130,7 +129,6 @@ def demo_chaos_shard_kill(fused, features, direct) -> None:
         [{"kind": "crash_shard", "shard": 0, "at_batch": 1}], seed=2023
     )
     config = ServeConfig(
-        batch_window_ms=2.0,
         max_batch=8,
         log_every=0,
         num_shards=2,
@@ -184,7 +182,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", default=str(DEFAULT_SPEC))
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--batch-window-ms", type=float, default=20.0)
     parser.add_argument(
         "--chaos",
         action="store_true",
@@ -214,7 +211,7 @@ def main() -> None:
     # Telemetry is off by default; flip it on so /metrics has data.
     METRICS.enable()
     groups = {name: test.group_ids(name) for name in test.attributes.names}
-    config = ServeConfig(batch_window_ms=args.batch_window_ms, max_batch=64, log_every=50)
+    config = ServeConfig(max_batch=64, log_every=50)
     with InferenceServer(fused, config, verbose=True) as server:
         client = ServeClient(server)
         errors = []

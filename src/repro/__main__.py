@@ -16,7 +16,7 @@ Subcommand families:
 * ``serve <artifact.json>`` — serve a bundle over HTTP with micro-batching
   and live fairness monitoring::
 
-      python -m repro serve muffin.json --port 8000 --batch-window-ms 5 --max-batch 64
+      python -m repro serve muffin.json --port 8000 --max-batch 64
 
 * ``master`` / ``submit`` / ``status`` / ``watch`` / ``cancel`` — the
   distributed-search daemon and its clients: a master owns a persistent run
@@ -308,12 +308,6 @@ def _serve_command(argv: Sequence[str]) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000)
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="how long the micro-batcher waits for more requests (default: 5)",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=64,
@@ -375,7 +369,6 @@ def _serve_command(argv: Sequence[str]) -> int:
     try:
         fused = load_fused_model(args.artifact)
         config = ServeConfig(
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             monitor_window=args.monitor_window,
             log_every=args.log_every,

@@ -232,8 +232,7 @@ def serve_forever(
     bound_host, bound_port = httpd.address
     print(
         f"serving '{inference.model.name}' on http://{bound_host}:{bound_port} "
-        f"(batch_window={inference.config.batch_window_ms}ms, "
-        f"max_batch={inference.config.max_batch}) — Ctrl-C to stop"
+        f"(max_batch={inference.config.max_batch}) — Ctrl-C to stop"
     )
     thread = threading.Thread(
         target=httpd.serve_forever, name="muffin-serve-http", daemon=True

@@ -7,9 +7,10 @@ so the server coalesces concurrent requests into **micro-batches**:
 * every request enters a *bounded* per-shard FIFO queue (admission control
   rejects with :class:`~repro.serve.errors.ServerOverloaded` when every
   queue is at its bound — the server never queues-and-hopes);
-* each shard's worker thread pops the first request, then keeps collecting
-  until either ``batch_window_ms`` elapses or ``max_batch`` sample rows are
-  gathered;
+* each shard's worker thread pops the first request and takes whatever
+  else is already queued, up to ``max_batch`` sample rows — it never waits
+  for more, so a lone request is served at once and batches form under load
+  from the requests that pile up while the previous forward runs;
 * the collected feature matrices are stacked into one
   :meth:`~repro.core.fusing.FusedModel.predict_detailed_features` forward
   pass, and the results are sliced back to the individual requests in
@@ -62,8 +63,6 @@ __all__ = [
 class ServeConfig:
     """Knobs of the micro-batching inference server."""
 
-    #: how long the batcher waits for more requests after the first one (ms)
-    batch_window_ms: float = 5.0
     #: maximum sample rows coalesced into one forward pass
     max_batch: int = 64
     #: sliding-window size of the online fairness monitor (labelled samples)
@@ -114,8 +113,6 @@ class ServeConfig:
     fault_plan: Union[None, FaultPlan, Dict[str, object], str] = None
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
         if self.monitor_window <= 0:
@@ -300,7 +297,6 @@ class InferenceServer:
             "restarts": totals["restarts"],
             "shards": self.pool.shard_stats(),
             "config": {
-                "batch_window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
                 "backend": self.config.backend,
                 "num_shards": self.config.num_shards,

@@ -34,6 +34,7 @@ events.  Failures are injectable deterministically through a
 from __future__ import annotations
 
 import _thread
+import contextlib
 import copy
 import queue
 import threading
@@ -44,7 +45,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.runtime import register_shared_state, touch_shared_state
-from ..obs import DEFAULT_LATENCY_BUCKETS_MS, DEFAULT_SIZE_BUCKETS, METRICS
+from ..obs import (
+    DEFAULT_LATENCY_BUCKETS_MS,
+    DEFAULT_SIZE_BUCKETS,
+    METRICS,
+    active_writer,
+    span,
+)
 from ..utils.logging import RunLogger
 from .errors import (
     DeadlineExceeded,
@@ -187,6 +194,8 @@ class PendingRequest:
 
 #: queue sentinel that wakes a shard worker up for shutdown
 _SHUTDOWN = object()
+#: stands in for the ``serve/batch`` span when no trace writer is installed
+_UNTRACED = contextlib.nullcontext()
 
 
 class Shard:
@@ -195,8 +204,8 @@ class Shard:
     A ``Shard`` is immutable in role: it belongs to one pool *slot* and one
     *generation* — the supervisor never mutates a live shard, it replaces
     it.  Every field the worker thread writes (heartbeat, counters,
-    in-flight list, crash flag) is single-writer by that thread; the
-    supervisor and stats readers only read them.
+    in-flight list) is single-writer by that thread; the supervisor and
+    stats readers only read them.
     """
 
     def __init__(
@@ -228,7 +237,6 @@ class Shard:
         )
         # -- single-writer fields (the shard thread) ---------------------
         self.heartbeat_at = time.perf_counter()
-        self.crashed: Optional[BaseException] = None
         self.inflight: Tuple[PendingRequest, ...] = ()
         #: cumulative across this slot's generations (fault-plan triggers)
         self.batches_attempted = batches_attempted
@@ -264,10 +272,10 @@ class Shard:
                 try:
                     self._process_batch(batch)
                 except BaseException as exc:
-                    # A crash mid-batch: hand the unsettled requests back to
-                    # the pool (re-dispatch or fail fast — never hang them)
-                    # and die; the supervisor restarts this slot.
-                    self.crashed = exc
+                    # A crash mid-batch: record it, hand the unsettled
+                    # requests back to the pool (re-dispatch or fail fast —
+                    # never hang them) and die; the supervisor spawns the
+                    # replacement once its backoff elapses.
                     unsettled = tuple(r for r in batch if not r.done.is_set())
                     self.inflight = ()
                     self.pool._shard_crashed(self, exc, unsettled)
@@ -278,27 +286,28 @@ class Shard:
     def _collect_batch(
         self, first: PendingRequest
     ) -> Tuple[List[PendingRequest], bool]:
-        """Coalesce requests after ``first`` within the batching window."""
-        config = self.pool.config
+        """Take ``first`` plus whatever is already queued, up to ``max_batch``
+        rows.
+
+        Work-conserving: the batcher never waits for more requests.  Under
+        load batches still form, because requests pile up while the previous
+        forward runs.  A request that crosses ``max_batch`` is still taken
+        (an oversized one is served alone); ``_SHUTDOWN`` ends the batch and
+        tells the loop to exit after serving it.
+        """
+        max_batch = self.pool.config.max_batch
         batch = [first]
         rows = first.rows
-        deadline = time.monotonic() + config.batch_window_ms / 1000.0
-        exiting = False
-        while rows < config.max_batch:
-            remaining = deadline - time.monotonic()
+        while rows < max_batch:
             try:
-                if remaining <= 0:
-                    item = self.queue.get_nowait()
-                else:
-                    item = self.queue.get(timeout=remaining)
+                item = self.queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
-                exiting = True
-                break
+                return batch, True
             batch.append(item)
             rows += item.rows
-        return batch, exiting
+        return batch, False
 
     def _shed_expired(self, batch: List[PendingRequest]) -> List[PendingRequest]:
         """Fail requests whose deadline passed; compute is for the living."""
@@ -326,13 +335,27 @@ class Shard:
         batch_index = self.batches_attempted
         if not self.frozen.is_set():
             self.batches_attempted += 1
-        plan = self.pool.plan
-        if plan is not None:
-            delay = plan.delay_seconds(self.slot, batch_index)
-            if delay > 0:
-                time.sleep(delay)
-            plan.check_batch(self.slot, batch_index)  # may raise InjectedCrash
-        self._forward(batch, batch_index)
+        if active_writer() is None:
+            batch_span = _UNTRACED  # tracing off: no attribute is computed
+        else:
+            batch_span = span(
+                "serve/batch",
+                shard=self.slot,
+                batch_id=batch_index,
+                requests=len(batch),
+                rows=sum(request.rows for request in batch),
+                # how long the oldest request in the batch sat in the queue
+                wait_ms=(time.perf_counter() - min(r.enqueued_at for r in batch))
+                * 1000.0,
+            )
+        with batch_span:
+            plan = self.pool.plan
+            if plan is not None:
+                delay = plan.delay_seconds(self.slot, batch_index)
+                if delay > 0:
+                    time.sleep(delay)
+                plan.check_batch(self.slot, batch_index)  # may raise InjectedCrash
+            self._forward(batch, batch_index)
         self.inflight = ()
 
     def _forward(self, batch: List[PendingRequest], batch_id: int) -> None:
@@ -652,7 +675,14 @@ class ShardPool:
         exc: BaseException,
         unsettled: Sequence[PendingRequest],
     ) -> None:
-        """Called on the dying shard's thread, as its last act."""
+        """Called on the dying shard's thread, as its last act.
+
+        The crash is recorded (state, restart counters, the scheduled
+        replacement) under the pool lock *before* any request moves, so a
+        caller woken by a re-dispatched request already sees the restart
+        in ``stats()``.  A shard the supervisor already replaced or
+        abandoned records nothing.
+        """
         self.logger.event(
             "shard-crashed",
             shard=shard.slot,
@@ -660,6 +690,16 @@ class ShardPool:
             error=f"{type(exc).__name__}: {exc}",
             inflight=len(unsettled),
         )
+        with self._lock:
+            if (
+                not self._stopped
+                and self._shards[shard.slot] is shard
+                and shard.state not in (ShardState.RESTARTING, ShardState.STOPPED)
+            ):
+                touch_shared_state("serve-pool", self)
+                self._begin_restart(
+                    shard.slot, shard, time.perf_counter(), cause="crash"
+                )
         for request in unsettled:
             request.redispatches += 1
             if request.redispatches > self.config.max_redispatch:
@@ -693,8 +733,12 @@ class ShardPool:
             ]
             target_queues.sort(key=lambda q: q.qsize())
             # own slot last: its queue survives the restart, so the request
-            # is served by the replacement shard after the backoff
-            for target_queue in target_queues + [self._queues[crashed.slot]]:
+            # is served by the replacement shard after the backoff — unless
+            # the breaker stopped the slot, when nothing will drain it
+            breaker_open = crashed.state == ShardState.STOPPED
+            if not breaker_open:
+                target_queues.append(self._queues[crashed.slot])
+            for target_queue in target_queues:
                 try:
                     target_queue.put_nowait(request)
                 except queue.Full:
@@ -703,12 +747,20 @@ class ShardPool:
                 self._redispatched += 1
                 _REDISPATCH_TOTAL.inc()
                 return
-        request.fail(
-            InferenceFailed(
-                f"shard {crashed.slot} crashed mid-batch and every other queue "
-                "is at its bound"
+        if breaker_open:
+            request.fail(
+                ServerClosed(
+                    f"shard {crashed.slot} crashed and its circuit breaker is "
+                    "open; no other shard could take the request"
+                )
             )
-        )
+        else:
+            request.fail(
+                InferenceFailed(
+                    f"shard {crashed.slot} crashed mid-batch and every other queue "
+                    "is at its bound"
+                )
+            )
         _REQUESTS_TOTAL.inc(outcome="error")
 
     # ------------------------------------------------------------------
@@ -737,14 +789,12 @@ class ShardPool:
                         if now >= due:
                             restarts.append((slot, self._restart_cause[slot]))
                         continue
-                    if shard.state == ShardState.STOPPED:
+                    if shard.state == ShardState.STOPPED or not self._started:
                         continue
-                    if shard.crashed is not None or (
-                        self._started and not shard.thread.is_alive()
-                    ):
+                    if not shard.thread.is_alive():
+                        # a crash records itself on the dying thread; this
+                        # only catches a worker that died without reporting
                         self._begin_restart(slot, shard, now, cause="crash")
-                        continue
-                    if not self._started:
                         continue
                     silent = now - shard.heartbeat_at
                     if silent > self.config.restart_after_ms / 1000.0:

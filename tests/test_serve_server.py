@@ -1,6 +1,8 @@
 """Tests of the micro-batching inference server and the live fairness monitor."""
 
+import io
 import json
+import queue
 import threading
 import urllib.error
 import urllib.request
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import FusedModel
+from repro.obs import TraceWriter, install, load_spans, uninstall
 from repro.serve import (
     FairnessMonitor,
     InferenceServer,
@@ -16,6 +19,8 @@ from repro.serve import (
     ServeConfig,
     ServeHTTPServer,
 )
+from repro.serve import supervisor
+from repro.serve.supervisor import _SHUTDOWN, PendingRequest, Shard
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +41,24 @@ def direct_predictions(bound_model, serving_features):
     return bound_model.predict_features(serving_features)
 
 
+class ListQueue:
+    """Queue stub: a blocking ``get`` fails the test, ``get_nowait`` pops."""
+
+    def __init__(self, items):
+        self.items = list(items)
+
+    def get(self, *args, **kwargs):
+        raise AssertionError("the batcher blocked waiting for more requests")
+
+    def get_nowait(self):
+        if not self.items:
+            raise queue.Empty
+        return self.items.pop(0)
+
+
 def make_server(bound_model, **overrides) -> InferenceServer:
     config = ServeConfig(
-        **{"batch_window_ms": 5.0, "max_batch": 32, "log_every": 0, **overrides}
+        **{"max_batch": 32, "log_every": 0, **overrides}
     )
     return InferenceServer(bound_model, config)
 
@@ -47,7 +67,7 @@ class TestMicroBatcher:
     def test_sequential_requests_match_direct_predictions(
         self, bound_model, serving_features, direct_predictions
     ):
-        with make_server(bound_model, batch_window_ms=0.0) as server:
+        with make_server(bound_model) as server:
             client = ServeClient(server)
             for start in range(0, 50, 10):
                 rows = slice(start, start + 10)
@@ -57,21 +77,62 @@ class TestMicroBatcher:
                 )
         assert server.requests_served == 5
 
-    def test_partial_batch_flushes_at_window(
+    def test_partial_batch_is_served_at_once(
         self, bound_model, serving_features, direct_predictions
     ):
-        """Fewer rows than max_batch must still be answered (window flush)."""
-        with make_server(bound_model, max_batch=64, batch_window_ms=2.0) as server:
+        """Fewer rows than max_batch are answered without waiting for more."""
+        with make_server(bound_model, max_batch=64) as server:
             response = ServeClient(server).predict(serving_features[:3])
             np.testing.assert_array_equal(response.predictions, direct_predictions[:3])
             assert response.batch_rows == 3
         assert server.batches_served == 1
 
+    def test_collect_batch_takes_what_is_queued_and_never_waits(
+        self, bound_model, serving_features
+    ):
+        """The work-conserving rule, driven without threads or a clock."""
+        server = make_server(bound_model, max_batch=4)
+
+        def request(rows):
+            return PendingRequest(
+                features=serving_features[:rows], groups={}, labels=None, enqueued_at=0.0
+            )
+
+        def collect(first, queued):
+            stub = ListQueue(queued)
+            shard = Shard(server.pool, 0, 0, bound_model, stub)
+            batch, exiting = shard._collect_batch(first)
+            return batch, exiting, stub.items
+
+        def same(left, right):
+            return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+        ones = [request(1) for _ in range(6)]
+        # exactly what is queued, up to max_batch rows; the rest stays queued
+        batch, exiting, left = collect(ones[0], ones[1:])
+        assert same(batch, ones[:4]) and same(left, ones[4:]) and not exiting
+        # fewer queued than max_batch: dispatched as they are
+        batch, exiting, left = collect(ones[0], ones[1:3])
+        assert same(batch, ones[:3]) and left == [] and not exiting
+        batch, exiting, left = collect(ones[0], [])
+        assert same(batch, ones[:1]) and not exiting
+        # a request that crosses max_batch is still taken, then the batch ends
+        two, three = request(2), request(3)
+        batch, exiting, left = collect(ones[0], [two, three, ones[1]])
+        assert same(batch, [ones[0], two, three]) and same(left, [ones[1]])
+        # an oversized request is taken, and served alone
+        big = request(9)
+        batch, exiting, left = collect(big, ones[1:3])
+        assert same(batch, [big]) and same(left, ones[1:3]) and not exiting
+        # the shutdown sentinel ends the batch and tells the loop to exit
+        batch, exiting, left = collect(ones[0], [ones[1], _SHUTDOWN, ones[2]])
+        assert same(batch, ones[:2]) and exiting and same(left, [ones[2]])
+
     def test_burst_coalesces_into_fewer_batches(
         self, bound_model, serving_features, direct_predictions
     ):
         """A pre-submitted burst drains in max_batch chunks, preserving order."""
-        server = make_server(bound_model, max_batch=16, batch_window_ms=20.0)
+        server = make_server(bound_model, max_batch=16)
         pending = [
             server.submit(serving_features[i : i + 1]) for i in range(32)
         ]  # queued before the worker starts: a cold burst
@@ -88,7 +149,7 @@ class TestMicroBatcher:
     def test_concurrent_clients_get_their_own_rows(
         self, bound_model, serving_features, direct_predictions
     ):
-        with make_server(bound_model, batch_window_ms=10.0) as server:
+        with make_server(bound_model) as server:
             client = ServeClient(server)
             results = {}
             barrier = threading.Barrier(10)
@@ -128,6 +189,48 @@ class TestMicroBatcher:
         with make_server(bound_model) as server:
             with pytest.raises(ValueError, match="expected features"):
                 server.submit(np.zeros((2, 3)))
+
+
+class TestBatchSpan:
+    def test_each_served_batch_writes_one_span(self, bound_model, serving_features):
+        sizes = [1, 3, 2, 5, 1, 12, 4]
+        stream = io.StringIO()
+        install(TraceWriter(stream))
+        try:
+            server = make_server(bound_model, max_batch=8)
+            pending, offset = [], 0
+            for size in sizes:  # a cold burst: the batches are deterministic
+                pending.append(server.submit(serving_features[offset : offset + size]))
+                offset += size
+            server.start()
+            for request in pending:
+                assert request.done.wait(timeout=30)
+                assert request.error is None
+            server.stop()
+        finally:
+            uninstall()
+        spans = [
+            row
+            for row in load_spans(io.StringIO(stream.getvalue()))
+            if row["name"] == "serve/batch"
+        ]
+        assert len(spans) == server.batches_served == 3
+        assert sum(row["rows"] for row in spans) == offset
+        assert [row["rows"] for row in spans] == [11, 13, 4]
+        assert [row["requests"] for row in spans] == [4, 2, 1]
+        assert [row["batch_id"] for row in spans] == [0, 1, 2]
+        assert all(row["shard"] == 0 and row["wait_ms"] >= 0.0 for row in spans)
+
+    def test_no_writer_means_no_span(
+        self, bound_model, serving_features, direct_predictions, monkeypatch
+    ):
+        def no_span(*args, **kwargs):
+            raise AssertionError("span() entered with no trace writer installed")
+
+        monkeypatch.setattr(supervisor, "span", no_span)
+        with make_server(bound_model) as server:
+            response = ServeClient(server).predict(serving_features[:3])
+        np.testing.assert_array_equal(response.predictions, direct_predictions[:3])
 
 
 class TestFairnessMonitor:

@@ -54,7 +54,7 @@ def direct_predictions(bound_model, serving_features):
 
 def make_server(bound_model, **overrides) -> InferenceServer:
     config = ServeConfig(
-        **{"batch_window_ms": 5.0, "max_batch": 32, "log_every": 0, **overrides}
+        **{"max_batch": 32, "log_every": 0, **overrides}
     )
     return InferenceServer(bound_model, config)
 
@@ -76,7 +76,7 @@ class TestShardedIdentity:
         self, bound_model, serving_features, direct_predictions
     ):
         """The acceptance bar: sharding changes capacity, never answers."""
-        with make_server(bound_model, num_shards=2, batch_window_ms=1.0) as server:
+        with make_server(bound_model, num_shards=2) as server:
             client = ServeClient(server)
             for start in range(0, 60, 6):
                 rows = slice(start, start + 6)
@@ -103,7 +103,7 @@ class TestShardedIdentity:
     def test_concurrent_burst_spreads_over_shards(
         self, bound_model, serving_features, direct_predictions
     ):
-        server = make_server(bound_model, num_shards=2, batch_window_ms=2.0)
+        server = make_server(bound_model, num_shards=2)
         pending = [server.submit(serving_features[i : i + 1]) for i in range(24)]
         server.start()
         for i, request in enumerate(pending):
@@ -152,9 +152,7 @@ class TestAdmissionControl:
     def test_healthy_traffic_survives_an_overload_burst(
         self, bound_model, serving_features, direct_predictions
     ):
-        with make_server(
-            bound_model, queue_depth=8, batch_window_ms=0.0
-        ) as server:
+        with make_server(bound_model, queue_depth=8) as server:
             client = ServeClient(server)
             outcomes = {"ok": 0, "shed": 0}
             for i in range(40):
@@ -215,7 +213,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=2,
-            batch_window_ms=2.0,
             fault_plan=plan,
             restart_backoff_ms=10.0,
             supervise_interval_ms=5.0,
@@ -237,6 +234,51 @@ class TestFaultInjection:
         )
         server.stop()
 
+    def test_restart_is_counted_before_any_request_is_redispatched(
+        self, bound_model, serving_features, direct_predictions
+    ):
+        """Regression: the crash used to be counted by the supervisor thread
+        after the dying shard had re-dispatched its requests, so a caller
+        woken by one could still read ``restarts == 0``."""
+        plan = FaultPlan([FaultEvent(kind="crash_shard", shard=0, at_batch=1)])
+        server = make_server(
+            bound_model,
+            num_shards=2,
+            max_batch=8,
+            queue_depth=64,
+            fault_plan=plan,
+            restart_backoff_ms=20.0,
+            supervise_interval_ms=10.0,
+        )
+        pool = server.pool
+        original_redispatch = pool._redispatch
+        at_redispatch, at_settle = [], []
+
+        def redispatch(crashed, request, exc):
+            at_redispatch.append(server.stats()["restarts"])
+            original_finish = request.finish
+
+            def finish(response, on_win=None):
+                at_settle.append(server.stats()["restarts"])
+                return original_finish(response, on_win=on_win)
+
+            request.finish = finish
+            original_redispatch(crashed, request, exc)
+
+        pool._redispatch = redispatch
+        pending = [server.submit(serving_features[i : i + 1]) for i in range(32)]
+        server.start()
+        for i, request in enumerate(pending):
+            assert request.done.wait(timeout=30), f"request {i} hung"
+            assert request.error is None, f"request {i} failed: {request.error!r}"
+            np.testing.assert_array_equal(
+                request.response.predictions, direct_predictions[i : i + 1]
+            )
+        server.stop()
+        assert at_redispatch and at_settle
+        assert at_redispatch == [1] * len(at_redispatch)
+        assert at_settle == [1] * len(at_settle)
+
     def test_single_shard_crash_restarts_and_serves_backlog(
         self, bound_model, serving_features, direct_predictions
     ):
@@ -246,7 +288,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=2.0,
             fault_plan=plan,
             restart_backoff_ms=10.0,
             supervise_interval_ms=5.0,
@@ -269,7 +310,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=2.0,
             fault_plan=plan,
             max_redispatch=0,
             restart_backoff_ms=10.0,
@@ -286,7 +326,7 @@ class TestFaultInjection:
         self, bound_model, serving_features, direct_predictions
     ):
         plan = FaultPlan([FaultEvent(kind="poison_request", at_request=3)])
-        server = make_server(bound_model, batch_window_ms=5.0, fault_plan=plan)
+        server = make_server(bound_model, fault_plan=plan)
         pending = [server.submit(serving_features[i : i + 1]) for i in range(8)]
         server.start()
         for i, request in enumerate(pending):
@@ -426,7 +466,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=1.0,
             fault_plan=plan,
             restart_backoff_ms=10.0,
             supervise_interval_ms=10.0,
@@ -458,7 +497,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=1.0,
             fault_plan=plan,
             max_redispatch=5,
             max_restarts=1,
@@ -511,7 +549,7 @@ class TestGracefulDrain:
     def test_drain_completes_every_accepted_request_bit_identically(
         self, bound_model, serving_features, direct_predictions
     ):
-        server = make_server(bound_model, num_shards=2, batch_window_ms=2.0)
+        server = make_server(bound_model, num_shards=2)
         pending = [server.submit(serving_features[i : i + 1]) for i in range(20)]
         server.start()
         server.stop()  # drain: nothing accepted may be lost
