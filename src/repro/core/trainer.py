@@ -237,7 +237,7 @@ def train_heads_batched(
             loss=config.loss,
             seed=config.seed,
             backend=config.backend,
-        )
+        ).losses
         for index, curve in zip(indices, curves):
             results[index] = HeadTrainResult(
                 losses=curve, proxy_size=labels.shape[0], epochs=config.epochs

@@ -1,8 +1,10 @@
-"""Graph-free fused training kernels for muffin-head MLP stacks.
+"""Graph-free fused training kernels for muffin-head and zoo-head stacks.
 
 The muffin head is a small MLP — ``Linear`` layers joined by one of the
 searched activations (ReLU, tanh, LeakyReLU, sigmoid) — trained with the
-Equation-2 weighted-MSE loss (or the weighted cross-entropy ablation).
+Equation-2 weighted-MSE loss (or the weighted cross-entropy ablation).  A
+zoo head is a single ``Linear`` trained with (optionally label-smoothed or
+weighted) cross-entropy under a step learning-rate schedule.
 Pushing every minibatch through the closure-based autograd graph of
 :mod:`repro.nn.tensor` pays Python-level overhead per op, per parameter,
 per batch, per epoch — for a model whose whole forward/backward is a
@@ -41,6 +43,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..utils.rng import SeedLike, get_rng
+from .functional import accuracy
 from .modules import MLP, LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
 
 
@@ -57,6 +61,7 @@ __all__ = [
     "FusedParamBlock",
     "FusedAdam",
     "FusedSGD",
+    "StackCurves",
     "extract_fused_stack",
     "train_mlp_stacks",
 ]
@@ -344,39 +349,52 @@ def _weighted_mse_value_and_grad(
     return losses, g_logits
 
 
-def _weighted_ce_value_and_grad(
-    logits: np.ndarray, target_dist: np.ndarray, batch_weights: np.ndarray
+def _cross_entropy_value_and_grad(
+    logits: np.ndarray, target_dist: np.ndarray, batch_weights: Optional[np.ndarray]
 ):
-    """Weighted cross-entropy (the Equation-2 ablation) values and gradient.
+    """Cross-entropy values and logits gradient.
 
-    Matches :func:`repro.nn.functional.cross_entropy` with per-sample
-    weights and no label smoothing: log-softmax, one-hot dot product, and
-    sum-normalised weights.
+    Matches :func:`repro.nn.functional.cross_entropy`: log-softmax and a
+    dot product with ``target_dist`` (the one-hot, or label-smoothed,
+    targets), reduced by the plain batch mean when ``batch_weights`` is
+    ``None`` and by sum-normalised weights otherwise (the Equation-2
+    ablation and Method D's weighted variant).
     """
-    norm = batch_weights.sum()
-    if norm <= 0:
-        raise ValueError("weights must sum to a positive value")
+    if batch_weights is not None:
+        norm = batch_weights.sum()
+        if norm <= 0:
+            raise ValueError("weights must sum to a positive value")
+    B = logits.shape[-2]
     mx = logits.max(axis=-1, keepdims=True)
     shifted = logits - mx
     ex = np.exp(shifted)
     s = ex.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(s)
     per_sample = -((target_dist * log_probs).sum(axis=-1))
-    wn = batch_weights / norm
-    losses = (per_sample * wn).sum(axis=-1)
+    if batch_weights is None:
+        # ``mean`` is ``sum() * (1/B)`` on the tape; its backward seeds
+        # every sample with ``1/B`` before the negation.
+        losses = per_sample.sum(axis=-1) * (1.0 / B)
+        g_lp = (-(1.0 / B)) * target_dist
+    else:
+        wn = batch_weights / norm
+        losses = (per_sample * wn).sum(axis=-1)
+        g_lp = (-wn)[..., None] * target_dist
 
-    # Backward: weighted sum → negation → per-class sum → log-softmax
-    # (the shifted node accumulates the direct and the exp-path gradients).
-    g_lp = (-wn)[..., None] * target_dist
+    # Backward: per-class sum → log-softmax (the shifted node accumulates
+    # the direct and the exp-path gradients).
     g_lg = (-g_lp).sum(axis=-1, keepdims=True)
     g_s = g_lg / s
     g_logits = g_lp + g_s * ex
     return losses, g_logits
 
 
+#: ``weighted_ce`` (the muffin-head ablation) and ``cross_entropy`` (zoo
+#: heads) share one kernel; weights are used exactly when they are given
 _LOSS_KERNELS = {
     "weighted_mse": _weighted_mse_value_and_grad,
-    "weighted_ce": _weighted_ce_value_and_grad,
+    "weighted_ce": _cross_entropy_value_and_grad,
+    "cross_entropy": _cross_entropy_value_and_grad,
 }
 
 
@@ -468,11 +486,45 @@ class FusedSGD:
 # ----------------------------------------------------------------------
 # The fused training loop
 # ----------------------------------------------------------------------
+@dataclass
+class StackCurves:
+    """Per-epoch curves of one :func:`train_mlp_stacks` call, one row per head."""
+
+    losses: List[List[float]]
+    #: rows stay empty unless ``train_accuracy`` was requested
+    train_accuracy: List[List[float]]
+    #: rows stay empty unless a ``val`` partition was passed
+    val_accuracy: List[List[float]]
+    #: the rate the step schedule sets after the last epoch (``StepLR.step``)
+    final_lr: float = 0.0
+
+
+def _stack_inputs(stacks, inputs, n: int, dtype, what: str) -> np.ndarray:
+    """The per-head ``(n, in)`` matrices as one ``(C, n, in)`` array.
+
+    A single head's matrix is viewed, not copied.
+    """
+    matrices = []
+    for stack, matrix in zip(stacks, inputs):
+        matrix = np.asarray(matrix, dtype=dtype)
+        expected = (n, stack.shapes[0][0])
+        if matrix.shape != expected:
+            raise ValueError(f"{what} must have shape {expected}, got {matrix.shape}")
+        matrices.append(matrix)
+    return matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+
+
+def _accuracies(block: FusedParamBlock, X: np.ndarray, labels: np.ndarray, activate) -> List[float]:
+    """Per-head top-1 accuracy of one stacked forward over a full partition."""
+    logits = _forward(block.weights, block.biases, X, activate)[0]
+    return [accuracy(head_logits, labels) for head_logits in logits]
+
+
 def train_mlp_stacks(
     stacks: Sequence[FusedStack],
     inputs: Sequence[np.ndarray],
     labels: np.ndarray,
-    sample_weights: np.ndarray,
+    sample_weights: Optional[np.ndarray],
     num_classes: int,
     *,
     epochs: int,
@@ -480,18 +532,33 @@ def train_mlp_stacks(
     lr: float,
     weight_decay: float = 0.0,
     optimizer: str = "adam",
+    momentum: float = 0.9,
+    lr_decay: float = 1.0,
+    lr_decay_every: int = 1,
     loss: str = "weighted_mse",
-    seed: int = 0,
+    label_smoothing: float = 0.0,
+    train_accuracy: bool = False,
+    val: Optional[Tuple[Sequence[np.ndarray], np.ndarray]] = None,
+    seed: SeedLike = 0,
     backend=None,
-) -> List[List[float]]:
-    """Train ``C`` same-signature stacks simultaneously; returns per-head loss curves.
+) -> StackCurves:
+    """Train ``C`` same-signature stacks simultaneously; returns per-head curves.
 
-    ``inputs[c]`` is head ``c``'s ``(n, in)`` body-output matrix;
+    ``inputs[c]`` is head ``c``'s ``(n, in)`` input matrix;
     ``labels``/``sample_weights`` are shared across heads (one proxy dataset
-    serves a whole episode batch).  Shuffles come from one generator seeded
-    with ``seed`` — the exact stream the autograd reference draws — so every
-    head sees the reference minibatch order and the trained parameters are
-    bit-identical to ``C`` independent reference runs.
+    serves a whole episode batch, one training partition a whole zoo width
+    group).  Shuffles come from ``get_rng(seed)`` — the exact stream the
+    autograd references draw — so every head sees the reference minibatch
+    order and the trained parameters are bit-identical to ``C`` independent
+    reference runs.
+
+    The learning rate follows :class:`repro.nn.StepLR`: epoch ``e`` trains
+    at ``lr * lr_decay ** (e // lr_decay_every)`` (the defaults keep it
+    constant).  ``train_accuracy`` records each head's per-epoch accuracy on
+    its training inputs, and ``val`` — ``(per-head inputs, labels)`` — on a
+    held-out partition, both from one stacked forward after the epoch.
+    ``sample_weights`` may be ``None`` for ``cross_entropy`` (plain batch
+    mean); ``weighted_mse`` needs them.
 
     ``backend`` (a name or :class:`repro.core.backend.ArrayBackend`) picks
     the GEMM dtype.  Under the default ``numpy-float64`` backend every array
@@ -510,54 +577,66 @@ def train_mlp_stacks(
     backend = _resolve_backend(backend)
     dtype = backend.compute_dtype
     labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(sample_weights, dtype=dtype)
     n = labels.shape[0]
-    stacked_inputs = []
-    for stack, matrix in zip(stacks, inputs):
-        matrix = np.asarray(matrix, dtype=dtype)
-        expected = (n, stack.shapes[0][0])
-        if matrix.shape != expected:
-            raise ValueError(f"inputs must have shape {expected}, got {matrix.shape}")
-        stacked_inputs.append(matrix)
-    if weights.shape != (n,):
-        raise ValueError(f"sample_weights must have {n} entries, got {weights.shape}")
+    X = _stack_inputs(stacks, inputs, n, dtype, "inputs")  # (C, n, in)
+    weights = None
+    if sample_weights is not None:
+        weights = np.asarray(sample_weights, dtype=dtype)
+        if weights.shape != (n,):
+            raise ValueError(f"sample_weights must have {n} entries, got {weights.shape}")
+    elif loss == "weighted_mse":
+        raise ValueError("the weighted_mse loss needs sample_weights")
     if stacks[0].shapes[-1][1] != num_classes:
         raise ValueError(
             f"stack output width {stacks[0].shapes[-1][1]} != num_classes {num_classes}"
         )
+    if val is not None:
+        val_labels = np.asarray(val[1], dtype=np.int64)
+        X_val = _stack_inputs(stacks, val[0], val_labels.shape[0], dtype, "val inputs")
 
     block = FusedParamBlock(stacks, dtype=dtype)
-    X = np.stack(stacked_inputs)  # (C, n, in)
-    one_hot = backend.one_hot(labels, num_classes)
+    targets = backend.one_hot(labels, num_classes)
+    if label_smoothing:
+        targets = (1.0 - label_smoothing) * targets + label_smoothing / num_classes
 
     shape = block.theta.shape
     if optimizer == "adam":
         opt = FusedAdam(shape, lr=lr, weight_decay=weight_decay, dtype=dtype)
     else:
-        opt = FusedSGD(shape, lr=lr, momentum=0.9, weight_decay=weight_decay, dtype=dtype)
+        opt = FusedSGD(shape, lr=lr, momentum=momentum, weight_decay=weight_decay, dtype=dtype)
+    base_lr = opt.lr
     loss_kernel = _LOSS_KERNELS[loss]
 
-    rng = np.random.default_rng(seed)
+    rng = get_rng(seed)
     num_heads = block.num_candidates
+    activate = stacks[0].activate
     layer_weights = block.weights
     layer_biases = block.biases
     grad_weights = block.grad_weights
     grad_biases = block.grad_biases
     theta, grad = block.theta, block.grad
-    curves: List[List[float]] = [[] for _ in range(num_heads)]
-    for _ in range(epochs):
+    curves = StackCurves(
+        losses=[[] for _ in range(num_heads)],
+        train_accuracy=[[] for _ in range(num_heads)],
+        val_accuracy=[[] for _ in range(num_heads)],
+    )
+    for epoch in range(epochs):
+        opt.lr = base_lr * (lr_decay ** (epoch // lr_decay_every))
         order = rng.permutation(n)
-        x_epoch = X[:, order]
-        targets_epoch = one_hot[order]
-        weights_epoch = weights[order]
+        # The small targets/weights are permuted once per epoch; the input
+        # rows are gathered per step, so no shuffled (C, n, in) copy exists.
+        targets_epoch = targets[order]
+        weights_epoch = None if weights is None else weights[order]
         batch_losses: List[np.ndarray] = []
         for start in range(0, n, batch_size):
             stop = start + batch_size
             logits, activations, factors = _forward(
-                layer_weights, layer_biases, x_epoch[:, start:stop], stacks[0].activate
+                layer_weights, layer_biases, X.take(order[start:stop], axis=1), activate
             )
             losses, g_logits = loss_kernel(
-                logits, targets_epoch[start:stop], weights_epoch[start:stop]
+                logits,
+                targets_epoch[start:stop],
+                None if weights_epoch is None else weights_epoch[start:stop],
             )
             _backward(layer_weights, grad_weights, grad_biases, g_logits, activations, factors)
             opt.step(theta, grad)
@@ -569,6 +648,13 @@ def train_mlp_stacks(
         # mean over a per-head python list of the same floats.
         epoch_matrix = np.ascontiguousarray(np.stack(batch_losses, axis=0).T)
         for head in range(num_heads):
-            curves[head].append(float(np.mean(epoch_matrix[head])))
+            curves.losses[head].append(float(np.mean(epoch_matrix[head])))
+        if train_accuracy:
+            for head, value in enumerate(_accuracies(block, X, labels, activate)):
+                curves.train_accuracy[head].append(value)
+        if val is not None:
+            for head, value in enumerate(_accuracies(block, X_val, val_labels, activate)):
+                curves.val_accuracy[head].append(value)
+    curves.final_lr = base_lr * (lr_decay ** (epochs // lr_decay_every))
     block.write_back()
     return curves

@@ -90,10 +90,12 @@ class FairnessMonitor:
     ) -> None:
         """Record one served batch (already-validated arrays)."""
         predictions = np.asarray(predictions, dtype=np.int64).reshape(-1)
-        groups = groups or {}
         with self._lock:
             touch_shared_state("fairness-window", self)
             self.total_samples += int(predictions.shape[0])
+            if not groups and labels is None:
+                return  # nothing per-group to count, nothing to window
+            groups = groups or {}
             for name, counts in self._group_counts.items():
                 ids = groups.get(name)
                 if ids is not None:

@@ -26,7 +26,7 @@ from .persistence import (
     save_pool,
 )
 from .pool import ModelPool
-from .training import TrainConfig, TrainResult, train_model
+from .training import TrainConfig, TrainResult, train_model, train_models
 
 __all__ = [
     "ArchitectureSpec",
@@ -54,4 +54,5 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "train_model",
+    "train_models",
 ]

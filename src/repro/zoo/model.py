@@ -111,10 +111,20 @@ class ZooModel:
         """Frozen backbone features for ``dataset``."""
         return self.backbone.extract(dataset, indices)
 
+    def _head_logits(self, features: np.ndarray) -> np.ndarray:
+        """``features @ W + b`` without the autograd tape.
+
+        The same two numpy ops ``Tensor.matmul`` and ``Tensor.__add__`` run
+        for the head's ``Linear``, so the logits are bit-identical to
+        ``self.head(nn.Tensor(features)).data``.
+        """
+        linear = self.head.linear
+        features = np.asarray(features, dtype=np.float64)
+        return features @ linear.weight.data + linear.bias.data
+
     def predict_logits(self, dataset: FairnessDataset, indices: Optional[np.ndarray] = None) -> np.ndarray:
         """Raw classification scores ``(N, C)``."""
-        features = self.features(dataset, indices)
-        return self.head(nn.Tensor(features)).data
+        return self._head_logits(self.features(dataset, indices))
 
     def predict_proba(self, dataset: FairnessDataset, indices: Optional[np.ndarray] = None) -> np.ndarray:
         """Class probabilities ``(N, C)`` (softmax of the logits)."""
@@ -137,8 +147,7 @@ class ZooModel:
         bit-identical to :meth:`predict_logits` on the samples the matrix
         was stacked from.
         """
-        extracted = self.backbone.extract_components(features, schema)
-        return self.head(nn.Tensor(extracted)).data
+        return self._head_logits(self.backbone.extract_components(features, schema))
 
     def predict_proba_features(
         self, features: np.ndarray, schema: "FeatureSchema"

@@ -20,7 +20,9 @@ from ..fairness.pareto import ParetoPoint, make_point
 from ..utils.rng import derive_seeds
 from .architectures import default_pool_names, get_architecture
 from .model import ZooModel
-from .training import TrainConfig, TrainResult, train_model
+# ``train_model`` is not called here, but ``perfbench/tracer.py`` wraps
+# ``repro.zoo.pool.train_model`` by name, so the name must stay resolvable.
+from .training import TrainConfig, TrainResult, train_model, train_models  # noqa: F401
 
 
 class ModelPool:
@@ -49,24 +51,30 @@ class ModelPool:
     # Construction
     # ------------------------------------------------------------------
     def build(self, verbose: bool = False) -> "ModelPool":
-        """Instantiate and train every architecture in the pool."""
+        """Instantiate and train every architecture in the pool.
+
+        All heads train in one :func:`~repro.zoo.training.train_models` call,
+        which batches them by head width on the fused kernels.
+        """
         dataset = self.split.train
         seeds = derive_seeds(self.seed, len(self.architecture_names))
+        models = []
         for name, model_seed in zip(self.architecture_names, seeds):
             spec = get_architecture(name)
-            model = ZooModel(
-                spec,
-                feature_dim=dataset.feature_dim,
-                num_classes=dataset.num_classes,
-                seed=model_seed,
+            models.append(
+                ZooModel(
+                    spec,
+                    feature_dim=dataset.feature_dim,
+                    num_classes=dataset.num_classes,
+                    seed=model_seed,
+                )
             )
-            config = self.train_config
             if verbose:
                 print(f"[pool] training {spec.name} ({spec.num_parameters:,} parameters)")
-            self._train_results[spec.name] = train_model(
-                model, self.split.train, self.split.val, config
-            )
-            self._models[spec.name] = model
+        results = train_models(models, self.split.train, self.split.val, self.train_config)
+        for model, result in zip(models, results):
+            self._train_results[model.name] = result
+            self._models[model.name] = model
         return self
 
     def add_model(self, model: ZooModel, train_result: Optional[TrainResult] = None) -> None:

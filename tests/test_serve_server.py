@@ -277,6 +277,29 @@ class TestFairnessMonitor:
         assert snapshot["labelled_samples"] == 0
         assert snapshot["window"] is None
 
+    def test_ungrouped_unlabelled_traffic_is_only_counted(self, serving_schema):
+        monitor = FairnessMonitor(serving_schema, window=16)
+        monitor.observe(np.array([0, 1, 1]))
+        monitor.observe(np.array([1]), groups={})
+        snapshot = monitor.snapshot()
+        assert snapshot["total_samples"] == 4
+        assert all(
+            count == 0
+            for counts in snapshot["group_counts"].values()
+            for count in counts.values()
+        )
+        assert snapshot["labelled_samples"] == 0
+        assert snapshot["window"] is None
+
+    def test_labels_without_attributes_still_window(self, serving_schema):
+        """With no monitored attribute, labels alone fill the window."""
+        monitor = FairnessMonitor(serving_schema, window=16, attributes=())
+        monitor.observe(np.array([0, 1]), labels=np.array([0, 0]))
+        snapshot = monitor.snapshot()
+        assert snapshot["labelled_samples"] == 2
+        assert snapshot["window"]["size"] == 2
+        assert snapshot["window"]["accuracy"] == 0.5
+
     def test_window_slides(self, serving_schema):
         monitor = FairnessMonitor(serving_schema, window=8)
         names = serving_schema.attribute_names

@@ -32,6 +32,7 @@ from repro.serve import (
     ShardState,
 )
 from repro.serve.faults import resolve_fault_plan
+from repro.serve.supervisor import Completion, PendingRequest
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,48 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
             return True
         time.sleep(interval)
     return predicate()
+
+
+# ----------------------------------------------------------------------
+# Request settlement
+# ----------------------------------------------------------------------
+class TestCompletion:
+    """The one-shot signal every request settles through."""
+
+    def test_set_releases_every_waiter(self):
+        done = Completion()
+        results = []
+        waiters = [
+            threading.Thread(target=lambda: results.append(done.wait(timeout=10)))
+            for _ in range(4)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        assert not done.is_set()
+        done.set()
+        done.set()  # idempotent
+        for waiter in waiters:
+            waiter.join(timeout=10)
+        assert results == [True] * 4
+        assert done.is_set() and done.wait() and done.wait(timeout=0)
+
+    def test_unset_wait_times_out(self):
+        done = Completion()
+        assert done.wait(timeout=0) is False
+        assert done.wait(timeout=-1) is False  # non-positive: never blocks
+        start = time.perf_counter()
+        assert done.wait(timeout=0.05) is False
+        assert time.perf_counter() - start >= 0.04
+
+    def test_pending_request_settles_once(self, serving_features):
+        request = PendingRequest(
+            features=serving_features[:1], groups={}, labels=None, enqueued_at=0.0
+        )
+        assert isinstance(request.done, Completion)
+        assert request.fail(ServerClosed("closed"))
+        assert not request.fail(ServerClosed("again"))
+        assert request.done.wait(timeout=1)
+        assert isinstance(request.error, ServerClosed) and request.response is None
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.zoo import ZooModel, get_architecture, train_model, TrainConfig
 
 
@@ -29,6 +30,16 @@ class TestZooModel:
         proba = model.predict_proba(test, indices=np.arange(25))
         np.testing.assert_allclose(proba.sum(axis=1), np.ones(25), atol=1e-9)
         assert (proba >= 0).all()
+
+    @pytest.mark.parametrize("rows", [1, 14, 256])
+    def test_tape_free_logits_match_the_tensor_path(self, pool, serving_schema, rows):
+        test = pool.split.test
+        indices = np.arange(rows)
+        for model in pool:
+            expected = model.head(nn.Tensor(model.features(test, indices))).data
+            assert np.array_equal(model.predict_logits(test, indices), expected)
+            features = serving_schema.features(test, indices)
+            assert np.array_equal(model.predict_logits_features(features, serving_schema), expected)
 
     def test_untrained_model_near_chance(self, isic_split):
         test = isic_split.test
