@@ -16,8 +16,9 @@ converged on a structure):
   bandwidth) dominates.
 
 A mixed batch cycling through every activation the search space emits
-(``DEFAULT_ACTIVATIONS``) then checks each fused kernel against the oracle
-bit for bit.
+(``DEFAULT_ACTIVATIONS``), three depths and two body widths then checks
+each fused kernel against the oracle bit for bit, all of them trained in
+one lockstep loop whose signature groups differ in layer count and width.
 
 Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step) skips the
 wall-clock assertion while keeping the identity check.  The speedup tiers
@@ -27,7 +28,7 @@ multi-core runner must show the full 5x (threaded BLAS accelerates the
 stacked GEMMs while the interpreted autograd loop stays serial).
 
 A last pass re-runs the fused trainer on the ``numpy-float32`` backend, over
-the mixed-activation batch:
+the mixed-activation batch at one shape:
 its results must *diverge* from float64 (proving the precision switch is
 live) while staying inside the backend's documented ``TOLERANCES``
 contract (:mod:`repro.core.backend`).
@@ -50,28 +51,32 @@ NUM_CLASSES = 8
 PROXY_SIZE = 2000
 EPOCHS = 25
 ROUNDS = 3  # best-of-N guards the comparison against scheduler noise
+#: ``(hidden sizes, body width)`` of every head in the timed batch
+ONE_SHAPE = ((HIDDEN_SIZES, BODY_DIM),)
+#: the identity batch also cycles these: one, two and three layers over
+#: two body widths (three and two fused members)
+MIXED_SHAPES = ((HIDDEN_SIZES, BODY_DIM), ((), 16), ((12, 8), BODY_DIM))
 
 
-def _workload():
+def _workload(shapes=ONE_SHAPE):
     rng = np.random.default_rng(2023)
     labels = rng.integers(0, NUM_CLASSES, PROXY_SIZE)
     weights = rng.random(PROXY_SIZE) + 0.1
-    outputs = [rng.random((PROXY_SIZE, BODY_DIM)) for _ in range(NUM_CANDIDATES)]
+    outputs = [
+        rng.random((PROXY_SIZE, shapes[index % len(shapes)][1]))
+        for index in range(NUM_CANDIDATES)
+    ]
     return outputs, labels, weights
 
 
-def _fresh_heads(activations=("relu",)):
-    """One episode batch of fresh heads cycling through ``activations``."""
-    return [
-        MuffinHead(
-            BODY_DIM,
-            NUM_CLASSES,
-            HIDDEN_SIZES,
-            activations[index % len(activations)],
-            seed=index,
-        )
-        for index in range(NUM_CANDIDATES)
-    ]
+def _fresh_heads(activations=("relu",), shapes=ONE_SHAPE):
+    """One episode batch of fresh heads cycling through ``activations`` and ``shapes``."""
+    heads = []
+    for index in range(NUM_CANDIDATES):
+        hidden, width = shapes[index % len(shapes)]
+        activation = activations[index % len(activations)]
+        heads.append(MuffinHead(width, NUM_CLASSES, hidden, activation, seed=index))
+    return heads
 
 
 def _assert_identical(ref_heads, ref_results, fused_heads, fused_results):
@@ -146,16 +151,18 @@ def test_bench_head_training_identity_and_speed(identity_only):
 
 
 def test_bench_head_training_identity_every_activation():
-    """Every fused activation kernel matches the autograd oracle bit for bit."""
-    outputs, labels, weights = _workload()
+    """Every fused activation kernel matches the autograd oracle bit for bit,
+    trained in one lockstep loop over groups of different depths and widths."""
+    outputs, labels, weights = _workload(MIXED_SHAPES)
     autograd_config = HeadTrainConfig(epochs=EPOCHS, seed=0, use_fused=False)
     fused_config = HeadTrainConfig(epochs=EPOCHS, seed=0, use_fused=True)
-    autograd_heads = _fresh_heads(DEFAULT_ACTIVATIONS)
+    autograd_heads = _fresh_heads(DEFAULT_ACTIVATIONS, MIXED_SHAPES)
+    assert {len(head.hidden_sizes) for head in autograd_heads} == {0, 1, 2}
     autograd_results = [
         train_head_on_outputs(head, matrix, labels, weights, NUM_CLASSES, autograd_config)
         for head, matrix in zip(autograd_heads, outputs)
     ]
-    fused_heads = _fresh_heads(DEFAULT_ACTIVATIONS)
+    fused_heads = _fresh_heads(DEFAULT_ACTIVATIONS, MIXED_SHAPES)
     fused_results = train_heads_batched(
         fused_heads, outputs, labels, weights, NUM_CLASSES, fused_config
     )

@@ -39,6 +39,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..nn.functional import one_hot
 from ..registry import Registry
 
 __all__ = [
@@ -145,11 +146,13 @@ class ArrayBackend:
         return np.empty(shape, dtype=self.compute_dtype)
 
     def one_hot(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
-        """Dense ``(n, num_classes)`` one-hot matrix in the compute dtype."""
-        labels = np.asarray(labels, dtype=np.int64)
-        out = np.zeros((labels.shape[0], num_classes), dtype=self.compute_dtype)
-        out[np.arange(labels.shape[0]), labels] = 1.0
-        return out
+        """Dense ``(n, num_classes)`` one-hot matrix in the compute dtype.
+
+        The autograd oracle's encoder (:func:`repro.nn.functional.one_hot`)
+        builds it, so both training paths reject a label outside
+        ``[0, num_classes)`` with the same ``ValueError``.
+        """
+        return one_hot(labels, num_classes).astype(self.compute_dtype, copy=False)
 
     # -- GEMM / dot products -------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

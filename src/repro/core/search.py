@@ -418,13 +418,14 @@ def evaluate_task_batch(tasks: Sequence[EvaluationTask]) -> List[EvaluationOutco
 
     Tasks sharing one proxy (labels, weights, training config — the normal
     case: every episode of a batch trains on the same proxy dataset) are
-    trained *simultaneously* by :func:`~repro.core.trainer.train_heads_batched`,
-    which stacks same-signature candidate heads into flat ``(C, P)`` parameter
-    blocks and runs one batched forward/backward per minibatch.  Every head
-    the search space emits is fused; heads the kernels cannot express
-    (dropout, plugin layers) fall back to the autograd loop inside the
-    batched trainer.  Outcomes are **bit-identical** to mapping
-    :func:`evaluate_task` over the tasks, in input order.
+    trained *simultaneously* by :func:`~repro.core.trainer.train_heads_batched`
+    in one lockstep minibatch loop: a stacked forward/backward per
+    signature group, then one loss-kernel call and one optimiser step for
+    every head of the batch.  Every head the search space emits is fused;
+    heads the kernels cannot express (dropout, plugin layers) fall back to
+    the autograd loop inside the batched trainer.  Outcomes are
+    **bit-identical** to mapping :func:`evaluate_task` over the tasks, in
+    input order.
     """
     outcomes: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
     group_indices: List[List[int]] = []
@@ -637,7 +638,7 @@ class MuffinSearch:
         executor=None,
         memoize: Optional[bool] = None,
     ) -> List[EpisodeRecord]:
-        """Train and evaluate a batch of candidates, memoised and in parallel.
+        """Train and evaluate a batch of candidates, memoised.
 
         Duplicate ``(candidate, seed)`` keys — within the batch or across
         earlier evaluations — are answered from the memo without retraining.

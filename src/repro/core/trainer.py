@@ -15,9 +15,10 @@ Two implementations produce bit-identical results:
   :mod:`repro.nn.fused`, used automatically for eligible heads (pure MLP
   stacks with one ReLU, tanh, LeakyReLU or sigmoid activation, which is
   every candidate the search space produces).  :func:`train_heads_batched`
-  trains C candidate heads simultaneously on stacked ``(C, in, out)``
-  parameter blocks — one batched forward/backward per minibatch for the
-  entire batch; a single head is its ``C == 1`` case.
+  trains all C fused candidate heads in one lockstep minibatch loop
+  (:func:`repro.nn.fused.train_mlp_stacks`): a stacked forward/backward
+  per signature group, then one loss-kernel call and one optimiser step
+  for every head; a single head is its ``C == 1`` case.
 
 ``HeadTrainConfig.use_fused`` is the escape hatch: ``False`` forces the
 autograd path everywhere (and restores per-candidate dispatch through the
@@ -164,7 +165,7 @@ def train_head_on_outputs(
     function of picklable inputs (numpy arrays and a plain config), seeds a
     *local* generator from ``config.seed`` (no shared-RNG mutation), and
     touches no live model or dataset objects — so the search loop can run it
-    concurrently on threads or worker processes with bit-identical results.
+    in worker processes with bit-identical results.
 
     It is the ``C == 1`` case of :func:`train_heads_batched`, which owns the
     fused-or-oracle decision.
@@ -187,17 +188,17 @@ def train_heads_batched(
     ``heads[c]`` is trained on ``body_outputs[c]`` (its own concatenated
     body-probability matrix — candidates select different model subsets, so
     widths may differ) against the shared ``labels``/``sample_weights`` of
-    the episode batch's proxy dataset.  Heads are grouped by signature
-    (layer shapes and activation); each group's parameters are stacked into
-    flat ``(C, P)`` buffers and trained with one batched forward/backward
-    per minibatch (:func:`repro.nn.fused.train_mlp_stacks`).
+    the episode batch's proxy dataset.  Every fused head goes to one
+    :func:`repro.nn.fused.train_mlp_stacks` call, which trains all of them
+    in one lockstep minibatch loop whatever their signatures (layer shapes
+    and activation).
 
     Results are **bit-identical** to training each head alone on the
     autograd oracle: all heads share ``config`` (hence the same seeded
     shuffle stream), and the batched kernels replicate the autograd op order
     per candidate.  Heads the kernels cannot express (dropout, plugin
     layers) — or every head, when ``config.use_fused`` is ``False`` — train
-    on the autograd loop one at a time.
+    on the autograd loop one at a time, after the fused heads.
     """
     config = config or HeadTrainConfig()
     heads = list(heads)
@@ -209,23 +210,13 @@ def train_heads_batched(
     for matrix in matrices:
         _validate_training_inputs(matrix, labels, weights)
 
+    stacks = [extract_fused_stack(head) if config.use_fused else None for head in heads]
+    fused = [index for index, stack in enumerate(stacks) if stack is not None]
     results: List[Optional[HeadTrainResult]] = [None] * len(heads)
-    groups: Dict[tuple, List[int]] = {}
-    stacks = []
-    for index, head in enumerate(heads):
-        stack = extract_fused_stack(head) if config.use_fused else None
-        stacks.append(stack)
-        if stack is None:
-            results[index] = _train_head_autograd(
-                head, matrices[index], labels, weights, num_classes, config
-            )
-        else:
-            groups.setdefault(stack.signature, []).append(index)
-
-    for indices in groups.values():
+    if fused:
         curves = train_mlp_stacks(
-            [stacks[i] for i in indices],
-            [matrices[i] for i in indices],
+            [stacks[i] for i in fused],
+            [matrices[i] for i in fused],
             labels,
             weights,
             num_classes,
@@ -238,14 +229,19 @@ def train_heads_batched(
             seed=config.seed,
             backend=config.backend,
         ).losses
-        for index, curve in zip(indices, curves):
+        for index, curve in zip(fused, curves):
             results[index] = HeadTrainResult(
                 losses=curve, proxy_size=labels.shape[0], epochs=config.epochs
             )
             if config.verbose:
                 for epoch, value in enumerate(curve):
                     print(f"[muffin-head] epoch {epoch + 1}/{config.epochs} loss={value:.5f}")
-    return [result for result in results if result is not None]
+    for index, head in enumerate(heads):
+        if results[index] is None:
+            results[index] = _train_head_autograd(
+                head, matrices[index], labels, weights, num_classes, config
+            )
+    return results
 
 
 def train_head(

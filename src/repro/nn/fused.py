@@ -18,14 +18,17 @@ property :mod:`tests.test_nn_fused` asserts across randomized
 configurations.
 
 All kernels carry a leading candidate axis ``C``: C heads with the same
-layer shapes and activation train *simultaneously*, their parameters
-packed into one flat contiguous ``(C, P)`` buffer whose per-layer views
-are ``(C, in, out)`` weight blocks.  numpy's stacked matmul dispatches the
-same per-slice BLAS GEMM a 2-D call would (each candidate's block is a
-contiguous 2-D matrix), so the batched path stays bit-identical to
-training each head alone while amortising the Python interpreter and the
-optimiser bookkeeping across the whole episode batch.  A single head is
-simply the ``C == 1`` case.
+layer shapes and activation (one *signature*) train *simultaneously*, their
+parameters packed into a contiguous ``(C, P)`` buffer whose per-layer
+views are ``(C, in, out)`` weight blocks.  numpy's stacked matmul
+dispatches the same per-slice BLAS GEMM a 2-D call would (each candidate's
+block is a contiguous 2-D matrix), so the batched path stays bit-identical
+to training each head alone.  :func:`train_mlp_stacks` runs the groups of
+different signatures in one lockstep minibatch loop — per-group GEMMs,
+but one loss-kernel call and one optimiser step over a single flat buffer
+per minibatch — which amortises the Python interpreter and the optimiser
+bookkeeping across the whole episode batch.  A single head is simply the
+``C == 1`` case.
 
 Eligibility is structural, not nominal: :func:`extract_fused_stack` walks a
 module tree and succeeds only for a pure ``Linear (Act Linear)*`` chain
@@ -39,7 +42,7 @@ fast path can never silently change results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,9 +215,19 @@ class FusedParamBlock:
     per-layer views (``(C, in, out)`` weights, ``(C, 1, out)`` biases) into
     the same memory, so the forward/backward kernels read and write the
     exact buffers the flat optimiser updates — no copies per minibatch.
+    Passing ``theta``/``grad`` — ``(C, P)`` views of the compute dtype —
+    packs the block into caller-owned buffers instead of fresh ones (one
+    slice each of the flat buffers a lockstep :func:`train_mlp_stacks` loop
+    steps as a whole).
     """
 
-    def __init__(self, stacks: Sequence[FusedStack], dtype=np.float64) -> None:
+    def __init__(
+        self,
+        stacks: Sequence[FusedStack],
+        dtype=np.float64,
+        theta: Optional[np.ndarray] = None,
+        grad: Optional[np.ndarray] = None,
+    ) -> None:
         if not stacks:
             raise ValueError("FusedParamBlock needs at least one stack")
         shapes = stacks[0].shapes
@@ -231,8 +244,8 @@ class FusedParamBlock:
         self.num_parameters = sum(fin * fout + fout for fin, fout in shapes)
 
         C, P = self.num_candidates, self.num_parameters
-        self.theta = np.empty((C, P), dtype=self.dtype)
-        self.grad = np.zeros((C, P), dtype=self.dtype)
+        self.theta = np.empty((C, P), dtype=self.dtype) if theta is None else theta
+        self.grad = np.zeros((C, P), dtype=self.dtype) if grad is None else grad
         self.weights: List[np.ndarray] = []
         self.biases: List[np.ndarray] = []
         self.grad_weights: List[np.ndarray] = []
@@ -273,12 +286,13 @@ class FusedParamBlock:
 # ----------------------------------------------------------------------
 # Closed-form forward / backward
 # ----------------------------------------------------------------------
-def _forward(weights, biases, x: np.ndarray, activate):
+def _forward(weights, biases, x: np.ndarray, activate, out: Optional[np.ndarray] = None):
     """Batched MLP forward; returns (logits, layer inputs, activation factors).
 
     Replicates the autograd op order exactly: ``z = a @ W`` then
     ``z = z + b``, then ``a, factors = activate(z)``
-    (:meth:`FusedStack.activate`).
+    (:meth:`FusedStack.activate`).  ``out`` receives the logits (the last
+    bias add writes there directly).
     """
     activations = [x]
     factors: List[tuple] = []
@@ -286,14 +300,11 @@ def _forward(weights, biases, x: np.ndarray, activate):
     last = len(weights) - 1
     for layer in range(last + 1):
         z = np.matmul(a, weights[layer])
-        z = z + biases[layer]
         if layer < last:
-            a, layer_factors = activate(z)
+            a, layer_factors = activate(z + biases[layer])
             factors.append(layer_factors)
             activations.append(a)
-        else:
-            a = z
-    return a, activations, factors
+    return np.add(z, biases[last], out=out), activations, factors
 
 
 def _backward(weights, grad_weights, grad_biases, g_logits: np.ndarray, activations, factors) -> None:
@@ -305,12 +316,26 @@ def _backward(weights, grad_weights, grad_biases, g_logits: np.ndarray, activati
     """
     g = g_logits
     for layer in range(len(weights) - 1, -1, -1):
-        np.sum(g, axis=1, out=grad_biases[layer])
+        np.add.reduce(g, axis=1, out=grad_biases[layer])
         np.matmul(activations[layer].swapaxes(1, 2), g, out=grad_weights[layer])
         if layer > 0:
             g = np.matmul(g, weights[layer].swapaxes(1, 2))
             for factor in factors[layer - 1]:
                 g = g * factor
+
+
+def _class_max(logits: np.ndarray) -> np.ndarray:
+    """``logits.max(axis=-1, keepdims=True)``, reduced over a class-major copy.
+
+    numpy reduces a short last axis row by row; with the class axis in
+    front the same maximum is one elementwise pass per class, several times
+    faster at the ``(C, b, K)`` shapes of the training loop.  A maximum is
+    exact, so the values match.  The one freedom, which zero a ``+0``/``-0``
+    tie returns, changes nothing downstream: the shifted logits only reach
+    ``exp`` (``exp(±0) == 1``) and ``shifted - log(s)``, where the tie makes
+    ``s >= 2``.
+    """
+    return np.maximum.reduce(np.ascontiguousarray(np.moveaxis(logits, -1, 0)), axis=0)[..., None]
 
 
 def _weighted_mse_value_and_grad(
@@ -325,7 +350,7 @@ def _weighted_mse_value_and_grad(
     closure in the order the tape would run them.
     """
     B, K = logits.shape[-2], logits.shape[-1]
-    mx = logits.max(axis=-1, keepdims=True)
+    mx = _class_max(logits)
     shifted = logits - mx
     ex = np.exp(shifted)
     s = ex.sum(axis=-1, keepdims=True)
@@ -365,7 +390,7 @@ def _cross_entropy_value_and_grad(
         if norm <= 0:
             raise ValueError("weights must sum to a positive value")
     B = logits.shape[-2]
-    mx = logits.max(axis=-1, keepdims=True)
+    mx = _class_max(logits)
     shifted = logits - mx
     ex = np.exp(shifted)
     s = ex.sum(axis=-1, keepdims=True)
@@ -514,10 +539,34 @@ def _stack_inputs(stacks, inputs, n: int, dtype, what: str) -> np.ndarray:
     return matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
 
 
-def _accuracies(block: FusedParamBlock, X: np.ndarray, labels: np.ndarray, activate) -> List[float]:
-    """Per-head top-1 accuracy of one stacked forward over a full partition."""
-    logits = _forward(block.weights, block.biases, X, activate)[0]
-    return [accuracy(head_logits, labels) for head_logits in logits]
+def _signature_groups(stacks: Sequence[FusedStack]) -> List[List[int]]:
+    """Positions of ``stacks`` grouped by signature, in first-appearance order."""
+    groups: Dict[tuple, List[int]] = {}
+    for index, stack in enumerate(stacks):
+        groups.setdefault(stack.signature, []).append(index)
+    return list(groups.values())
+
+
+@dataclass
+class _StackGroup:
+    """One signature's heads inside the lockstep loop of :func:`train_mlp_stacks`."""
+
+    #: the heads' positions in the caller's ``stacks``
+    heads: List[int]
+    #: the group's rows of the ``(C_total, b, K)`` logits and loss buffers
+    rows: slice
+    block: FusedParamBlock
+    activate: Callable
+    #: ``(C_g, n, in)`` training inputs and, with ``val``, validation inputs
+    X: np.ndarray
+    X_val: Optional[np.ndarray]
+
+    def forward(self, x: np.ndarray, out: Optional[np.ndarray] = None):
+        return _forward(self.block.weights, self.block.biases, x, self.activate, out)
+
+    def accuracies(self, X: np.ndarray, labels: np.ndarray) -> List[float]:
+        """Per-head top-1 accuracy of one stacked forward over a full partition."""
+        return [accuracy(head_logits, labels) for head_logits in self.forward(X)[0]]
 
 
 def train_mlp_stacks(
@@ -542,7 +591,7 @@ def train_mlp_stacks(
     seed: SeedLike = 0,
     backend=None,
 ) -> StackCurves:
-    """Train ``C`` same-signature stacks simultaneously; returns per-head curves.
+    """Train ``C`` stacks simultaneously in one lockstep loop; returns per-head curves.
 
     ``inputs[c]`` is head ``c``'s ``(n, in)`` input matrix;
     ``labels``/``sample_weights`` are shared across heads (one proxy dataset
@@ -552,13 +601,26 @@ def train_mlp_stacks(
     order and the trained parameters are bit-identical to ``C`` independent
     reference runs.
 
+    Heads may have any signatures.  They are grouped by signature, and every
+    minibatch runs each group's forward at that group's exact shapes into
+    its rows of one ``(C, b, K)`` logits buffer, **one** loss-kernel call
+    over all heads, each group's backward from its rows of the logits
+    gradient and **one** optimiser step over a single flat parameter buffer
+    that every group's :class:`FusedParamBlock` views a slice of.  This
+    stays bit-identical because the optimiser is elementwise, every loss
+    reduction runs within one head's row, and the GEMMs stay per group at
+    unpadded shapes.  Every head's output width and input shape are checked
+    before any training starts.
+
     The learning rate follows :class:`repro.nn.StepLR`: epoch ``e`` trains
     at ``lr * lr_decay ** (e // lr_decay_every)`` (the defaults keep it
     constant).  ``train_accuracy`` records each head's per-epoch accuracy on
     its training inputs, and ``val`` — ``(per-head inputs, labels)`` — on a
-    held-out partition, both from one stacked forward after the epoch.
-    ``sample_weights`` may be ``None`` for ``cross_entropy`` (plain batch
-    mean); ``weighted_mse`` needs them.
+    held-out partition, both from one stacked forward per group after the
+    epoch.  ``sample_weights`` may be ``None`` for ``cross_entropy`` (plain
+    batch mean); ``weighted_mse`` needs them.  A label outside
+    ``[0, num_classes)`` raises ``ValueError``, as it does on the autograd
+    path.
 
     ``backend`` (a name or :class:`repro.core.backend.ArrayBackend`) picks
     the GEMM dtype.  Under the default ``numpy-float64`` backend every array
@@ -574,11 +636,17 @@ def train_mlp_stacks(
         raise ValueError(f"optimizer must be 'adam' or 'sgd', got '{optimizer}'")
     if len(stacks) != len(inputs):
         raise ValueError("stacks and inputs must align one-to-one")
+    if val is not None and len(val[0]) != len(stacks):
+        raise ValueError("stacks and val inputs must align one-to-one")
+    for stack in stacks:
+        if stack.shapes[-1][1] != num_classes:
+            raise ValueError(
+                f"stack output width {stack.shapes[-1][1]} != num_classes {num_classes}"
+            )
     backend = _resolve_backend(backend)
     dtype = backend.compute_dtype
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
-    X = _stack_inputs(stacks, inputs, n, dtype, "inputs")  # (C, n, in)
     weights = None
     if sample_weights is not None:
         weights = np.asarray(sample_weights, dtype=dtype)
@@ -586,35 +654,50 @@ def train_mlp_stacks(
             raise ValueError(f"sample_weights must have {n} entries, got {weights.shape}")
     elif loss == "weighted_mse":
         raise ValueError("the weighted_mse loss needs sample_weights")
-    if stacks[0].shapes[-1][1] != num_classes:
-        raise ValueError(
-            f"stack output width {stacks[0].shapes[-1][1]} != num_classes {num_classes}"
-        )
     if val is not None:
         val_labels = np.asarray(val[1], dtype=np.int64)
-        X_val = _stack_inputs(stacks, val[0], val_labels.shape[0], dtype, "val inputs")
-
-    block = FusedParamBlock(stacks, dtype=dtype)
     targets = backend.one_hot(labels, num_classes)
     if label_smoothing:
         targets = (1.0 - label_smoothing) * targets + label_smoothing / num_classes
 
-    shape = block.theta.shape
+    # One flat parameter/gradient buffer; each group's block views its slice.
+    positions = _signature_groups(stacks)
+    size = sum(stack.num_parameters for stack in stacks)
+    theta = np.empty(size, dtype=dtype)
+    grad = np.zeros(size, dtype=dtype)
+    groups: List[_StackGroup] = []
+    row = offset = 0
+    for heads in positions:
+        members = [stacks[i] for i in heads]
+        count = len(heads)
+        end = offset + count * members[0].num_parameters
+        block = FusedParamBlock(
+            members,
+            dtype,
+            theta=theta[offset:end].reshape(count, -1),
+            grad=grad[offset:end].reshape(count, -1),
+        )
+        X = _stack_inputs(members, [inputs[i] for i in heads], n, dtype, "inputs")
+        X_val = None
+        if val is not None:
+            X_val = _stack_inputs(
+                members, [val[0][i] for i in heads], val_labels.shape[0], dtype, "val inputs"
+            )
+        groups.append(
+            _StackGroup(heads, slice(row, row + count), block, members[0].activate, X, X_val)
+        )
+        row += count
+        offset = end
+
     if optimizer == "adam":
-        opt = FusedAdam(shape, lr=lr, weight_decay=weight_decay, dtype=dtype)
+        opt = FusedAdam(theta.shape, lr=lr, weight_decay=weight_decay, dtype=dtype)
     else:
-        opt = FusedSGD(shape, lr=lr, momentum=momentum, weight_decay=weight_decay, dtype=dtype)
+        opt = FusedSGD(theta.shape, lr=lr, momentum=momentum, weight_decay=weight_decay, dtype=dtype)
     base_lr = opt.lr
     loss_kernel = _LOSS_KERNELS[loss]
 
     rng = get_rng(seed)
-    num_heads = block.num_candidates
-    activate = stacks[0].activate
-    layer_weights = block.weights
-    layer_biases = block.biases
-    grad_weights = block.grad_weights
-    grad_biases = block.grad_biases
-    theta, grad = block.theta, block.grad
+    num_heads = len(stacks)
     curves = StackCurves(
         losses=[[] for _ in range(num_heads)],
         train_accuracy=[[] for _ in range(num_heads)],
@@ -630,15 +713,27 @@ def train_mlp_stacks(
         batch_losses: List[np.ndarray] = []
         for start in range(0, n, batch_size):
             stop = start + batch_size
-            logits, activations, factors = _forward(
-                layer_weights, layer_biases, X.take(order[start:stop], axis=1), activate
-            )
+            batch = order[start:stop]
+            logits = np.empty((num_heads, batch.shape[0], num_classes), dtype=dtype)
+            tapes = [
+                group.forward(group.X.take(batch, axis=1), out=logits[group.rows])[1:]
+                for group in groups
+            ]
             losses, g_logits = loss_kernel(
                 logits,
                 targets_epoch[start:stop],
                 None if weights_epoch is None else weights_epoch[start:stop],
             )
-            _backward(layer_weights, grad_weights, grad_biases, g_logits, activations, factors)
+            for group, (activations, factors) in zip(groups, tapes):
+                block = group.block
+                _backward(
+                    block.weights,
+                    block.grad_weights,
+                    block.grad_biases,
+                    g_logits[group.rows],
+                    activations,
+                    factors,
+                )
             opt.step(theta, grad)
             # Loss curves accumulate in float64 whatever the compute dtype
             # (on float64 losses ``astype(copy=False)`` is the identity).
@@ -647,14 +742,16 @@ def train_mlp_stacks(
         # keeps np.mean's pairwise summation identical to the reference's
         # mean over a per-head python list of the same floats.
         epoch_matrix = np.ascontiguousarray(np.stack(batch_losses, axis=0).T)
-        for head in range(num_heads):
-            curves.losses[head].append(float(np.mean(epoch_matrix[head])))
-        if train_accuracy:
-            for head, value in enumerate(_accuracies(block, X, labels, activate)):
-                curves.train_accuracy[head].append(value)
-        if val is not None:
-            for head, value in enumerate(_accuracies(block, X_val, val_labels, activate)):
-                curves.val_accuracy[head].append(value)
+        for group in groups:
+            for row, head in enumerate(group.heads, start=group.rows.start):
+                curves.losses[head].append(float(np.mean(epoch_matrix[row])))
+            if train_accuracy:
+                for head, value in zip(group.heads, group.accuracies(group.X, labels)):
+                    curves.train_accuracy[head].append(value)
+            if val is not None:
+                for head, value in zip(group.heads, group.accuracies(group.X_val, val_labels)):
+                    curves.val_accuracy[head].append(value)
     curves.final_lr = base_lr * (lr_decay ** (epochs // lr_decay_every))
-    block.write_back()
+    for group in groups:
+        group.block.write_back()
     return curves

@@ -10,6 +10,8 @@ every eligible head.  These tests enforce that promise:
   space; every comparison is exact equality, not allclose);
 * the batched multi-candidate trainer vs per-head reference runs, including
   mixed shape and activation groups and fallback heads inside one batch;
+* the lockstep loop: heads of every signature in one ``train_mlp_stacks``
+  call, one loss-kernel call and one optimiser step per minibatch;
 * the search-level batch evaluator vs executor-mapped single evaluations;
 * an end-to-end :class:`~repro.core.MuffinSearch` run with the fast path on
   vs off;
@@ -212,16 +214,17 @@ class TestBatchedTrainer:
             _assert_heads_identical(ref_head, fused_head)
 
     def test_leaky_relu_slopes_train_in_separate_groups(self, monkeypatch):
-        import repro.core.trainer as trainer_mod
+        import repro.nn.fused as fused_mod
 
         groups = []
-        original = trainer_mod.train_mlp_stacks
+        original = fused_mod._signature_groups
 
-        def recording(stacks, *args, **kwargs):
-            groups.append([stack.negative_slope for stack in stacks])
-            return original(stacks, *args, **kwargs)
+        def recording(stacks):
+            positions = original(stacks)
+            groups.extend([stacks[i].negative_slope for i in heads] for heads in positions)
+            return positions
 
-        monkeypatch.setattr(trainer_mod, "train_mlp_stacks", recording)
+        monkeypatch.setattr(fused_mod, "_signature_groups", recording)
         slopes = [0.01, 0.2, 0.01]
         rng = np.random.default_rng(11)
         n, dim = 157, 12
@@ -274,6 +277,178 @@ class TestBatchedTrainer:
             train_heads_batched(
                 make_heads(), outputs + outputs, labels, weights, self.NUM_CLASSES
             )
+
+    @pytest.mark.parametrize("use_fused", [True, False])
+    @pytest.mark.parametrize("bad_label", [-1, NUM_CLASSES])
+    def test_out_of_range_labels_raise_on_both_paths(self, use_fused, bad_label):
+        make_heads, outputs, labels, weights = self._batch([((16,), 12, "relu")] * 2)
+        labels[5] = bad_label
+        config = HeadTrainConfig(epochs=1, batch_size=64, use_fused=use_fused)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 6\)"):
+            train_heads_batched(make_heads(), outputs, labels, weights, self.NUM_CLASSES, config)
+
+    @pytest.mark.parametrize("bad", ["output_width", "input_width"])
+    def test_a_bad_third_head_fails_before_any_head_trains(self, bad):
+        specs = [((16,), 12, "relu"), ((8,), 12, "tanh"), ((16,), 12, "sigmoid")]
+        make_heads, outputs, labels, weights = self._batch(specs)
+        heads = make_heads()
+        if bad == "output_width":
+            heads[2] = MuffinHead(12, self.NUM_CLASSES + 1, (16,), "sigmoid", seed=102)
+        else:
+            heads[2] = MuffinHead(14, self.NUM_CLASSES, (16,), "sigmoid", seed=102)
+        before = [head.state_dict() for head in heads]
+        with pytest.raises(ValueError):
+            train_heads_batched(
+                heads, outputs, labels, weights, self.NUM_CLASSES, HeadTrainConfig(epochs=2)
+            )
+        for head, state in zip(heads, before):
+            for key, value in head.state_dict().items():
+                assert np.array_equal(value, state[key]), key
+
+
+# ---------------------------------------------------------------------------
+# The lockstep loop: heads of every signature in one train_mlp_stacks call
+# ---------------------------------------------------------------------------
+class TestLockstepLoop:
+    NUM_CLASSES = 5
+    N = 157
+    BATCH_SIZE = 48  # 157 = 3 * 48 + 13: a ragged last batch
+    EPOCHS = 3
+    #: (hidden sizes, input width, activation, LeakyReLU slope): depths 1-3,
+    #: every activation, two slopes, two widths and one repeated signature
+    SPECS = [
+        ((), 12, "relu", None),
+        ((16,), 12, "relu", None),
+        ((8, 6), 18, "relu", None),
+        ((16,), 12, "tanh", None),
+        ((8, 6), 12, "tanh", None),
+        ((16,), 18, "sigmoid", None),
+        ((), 18, "sigmoid", None),
+        ((16,), 12, "leaky_relu", 0.01),
+        ((16,), 12, "leaky_relu", 0.2),
+        ((8, 6), 18, "leaky_relu", 0.2),
+        ((16,), 12, "relu", None),
+    ]
+
+    def _data(self):
+        rng = np.random.default_rng(21)
+        labels = rng.integers(0, self.NUM_CLASSES, self.N)
+        weights = rng.random(self.N) + 0.05
+        inputs = [rng.random((self.N, width)) for _, width, _, _ in self.SPECS]
+        return inputs, labels, weights
+
+    def _heads(self, indices=None):
+        indices = range(len(self.SPECS)) if indices is None else indices
+        heads = []
+        for i in indices:
+            hidden, width, activation, slope = self.SPECS[i]
+            heads.append(_head(width, self.NUM_CLASSES, hidden, activation, 300 + i, slope))
+        return heads
+
+    def _train(self, heads, inputs, labels, weights, loss, optimizer, backend=None):
+        from repro.nn.fused import train_mlp_stacks
+
+        return train_mlp_stacks(
+            [extract_fused_stack(head) for head in heads],
+            inputs,
+            labels,
+            weights,
+            self.NUM_CLASSES,
+            epochs=self.EPOCHS,
+            batch_size=self.BATCH_SIZE,
+            lr=5e-3,
+            weight_decay=1e-4,
+            optimizer=optimizer,
+            loss=loss,
+            seed=6,
+            backend=backend,
+        ).losses
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("loss", ["weighted_mse", "weighted_ce"])
+    def test_mixed_signatures_match_each_head_alone(self, loss, optimizer):
+        inputs, labels, weights = self._data()
+        heads = self._heads()
+        signatures = {extract_fused_stack(head).signature for head in heads}
+        assert len(signatures) == len(self.SPECS) - 1
+        losses = self._train(heads, inputs, labels, weights, loss, optimizer)
+
+        oracle_config = HeadTrainConfig(
+            epochs=self.EPOCHS, batch_size=self.BATCH_SIZE, lr=5e-3, weight_decay=1e-4,
+            optimizer=optimizer, loss=loss, seed=6, use_fused=False,
+        )
+        for index, (head, matrix) in enumerate(zip(self._heads(), inputs)):
+            result = train_head_on_outputs(
+                head, matrix, labels, weights, self.NUM_CLASSES, oracle_config
+            )
+            assert losses[index] == result.losses, index
+            _assert_heads_identical(head, heads[index])
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("loss", ["weighted_mse", "weighted_ce"])
+    def test_float32_mixed_signatures_match_per_group_calls(self, loss, optimizer):
+        inputs, labels, weights = self._data()
+        heads = self._heads()
+        losses = self._train(heads, inputs, labels, weights, loss, optimizer, "numpy-float32")
+
+        groups = {}
+        for index, head in enumerate(self._heads()):
+            groups.setdefault(extract_fused_stack(head).signature, []).append(index)
+        for indices in groups.values():
+            group_heads = self._heads(indices)
+            group_losses = self._train(
+                group_heads, [inputs[i] for i in indices], labels, weights, loss, optimizer,
+                "numpy-float32",
+            )
+            for index, head, curve in zip(indices, group_heads, group_losses):
+                assert losses[index] == curve, index
+                _assert_heads_identical(head, heads[index])
+
+    def test_one_loss_kernel_and_optimiser_step_per_minibatch(self, monkeypatch):
+        import repro.nn.fused as fused_mod
+
+        calls = {"loss": 0, "step": 0, "groups": 0}
+        kernel = fused_mod._LOSS_KERNELS["weighted_mse"]
+        step = fused_mod.FusedAdam.step
+        signature_groups = fused_mod._signature_groups
+
+        def counting_kernel(*args):
+            calls["loss"] += 1
+            return kernel(*args)
+
+        def counting_step(self, theta, grad):
+            calls["step"] += 1
+            return step(self, theta, grad)
+
+        def counting_groups(stacks):
+            positions = signature_groups(stacks)
+            calls["groups"] += len(positions)
+            return positions
+
+        monkeypatch.setitem(fused_mod._LOSS_KERNELS, "weighted_mse", counting_kernel)
+        monkeypatch.setattr(fused_mod.FusedAdam, "step", counting_step)
+        monkeypatch.setattr(fused_mod, "_signature_groups", counting_groups)
+        inputs, labels, weights = self._data()
+        self._train(self._heads(), inputs, labels, weights, "weighted_mse", "adam")
+
+        steps = self.EPOCHS * -(-self.N // self.BATCH_SIZE)
+        assert calls == {"loss": steps, "step": steps, "groups": len(self.SPECS) - 1}
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 8, 9, 40])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_class_max_equals_the_row_max(num_classes, dtype):
+    from repro.nn.fused import _class_max
+
+    rng = np.random.default_rng(num_classes)
+    for shape in [(5, 128, num_classes), (1, 13, num_classes), (2, 256, num_classes)]:
+        logits = rng.standard_normal(shape).astype(dtype)
+        logits[0, 0] = -np.abs(logits[0, 0])
+        logits[0, 0, :2] = [0.0, -0.0]  # a row whose maximum is a signed-zero tie
+        logits[0, 1, 1] = np.nan
+        got = _class_max(logits)
+        assert got.dtype == logits.dtype
+        np.testing.assert_array_equal(got, logits.max(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

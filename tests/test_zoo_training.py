@@ -211,6 +211,23 @@ class TestFusedMatchesAutograd:
         ]
         _assert_identical(fused_models, fused_results, oracle_models, oracle_results)
 
+    @pytest.mark.parametrize("bad_label", [-1, "num_classes"])
+    def test_out_of_range_labels_raise_on_both_paths(self, isic_split, bad_label):
+        train = isic_split.train.subset(np.arange(len(isic_split.train)))
+        train.labels[7] = train.num_classes if bad_label == "num_classes" else bad_label
+        config = TrainConfig(epochs=1, batch_size=256)
+        message = rf"labels must lie in \[0, {train.num_classes}\)"
+        models = _oracle_models(isic_split)
+        before = [model.head.state_dict() for model in models]
+        with pytest.raises(ValueError, match=message):
+            train_models(models, train, isic_split.val, config)
+        for model, state in zip(models, before):
+            assert not model.is_trained
+            for key, value in model.head.state_dict().items():
+                assert np.array_equal(value, state[key]), key
+        with pytest.raises(ValueError, match=message):
+            _train_model_autograd(_oracle_models(isic_split)[0], train, None, config, None)
+
     def test_pipeline_result_hash_matches_the_oracle(self, monkeypatch):
         spec = RunSpec.from_json(SMOKE_SPEC)
         groups = []
