@@ -190,7 +190,7 @@ def _run_command(argv: Sequence[str]) -> int:
         return 2
 
     if args.output is not None:
-        save_json(result.report, args.output)
+        save_json(result.report, args.output, indent=2)
     if not args.quiet:
         muffin = result.muffin
         print(f"run '{spec.name}' ({spec.spec_hash()}) complete")
@@ -296,6 +296,7 @@ def _export_command(argv: Sequence[str]) -> int:
 
 
 def _serve_command(argv: Sequence[str]) -> int:
+    from .obs import METRICS
     from .serve import InferenceServer, ServeConfig, serve_forever
     from .zoo import load_fused_model
 
@@ -382,6 +383,9 @@ def _serve_command(argv: Sequence[str]) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the frontend exposes GET /metrics; with the registry off it would
+    # report no requests at all
+    METRICS.enable()
     serve_forever(server, host=args.host, port=args.port, verbose=not args.quiet)
     return 0
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -216,6 +216,7 @@ class InferenceServer:
         groups: Optional[Mapping[str, np.ndarray]] = None,
         labels: Optional[np.ndarray] = None,
         deadline_ms: Optional[float] = None,
+        on_settle: Optional[Callable[[PendingRequest], None]] = None,
     ) -> PendingRequest:
         """Validate and enqueue one request; returns its pending handle.
 
@@ -227,6 +228,14 @@ class InferenceServer:
         bound.  ``deadline_ms`` (or ``config.default_deadline_ms``) bounds
         how long the request may wait: expired requests are shed before
         their forward pass with :class:`~repro.serve.errors.DeadlineExceeded`.
+
+        ``on_settle`` is called with the request exactly once, when it
+        settles (answer or error), on whichever thread settles it — a shard
+        worker, the supervisor or the thread running :meth:`stop` — after
+        ``request.done`` is set.  It must be quick and must not raise or
+        block; the HTTP frontend uses it to wake its selector loop.  It is
+        stored before admission, so a request that settles at once still
+        calls it; a request rejected at admission raises and never calls it.
         """
         matrix = self.schema.validate_features(features)
         n = matrix.shape[0]
@@ -240,6 +249,7 @@ class InferenceServer:
             labels=self.schema.validate_labels(labels, n),
             enqueued_at=now,
             deadline_at=None if budget_ms is None else now + budget_ms / 1000.0,
+            on_settle=on_settle,
         )
         return self.pool.submit(request)
 

@@ -185,6 +185,9 @@ class PendingRequest:
     ``finish``/``fail`` settle the request exactly once (first writer wins)
     — a force-restarted shard's abandoned thread may complete a request the
     supervisor already failed, and that late answer must be a no-op.
+    Whichever of them wins calls ``on_settle`` (if set) once, on the
+    settling thread, after releasing the settle lock; a request moved to
+    another shard after a crash calls it only when it finally settles.
     """
 
     features: np.ndarray
@@ -194,6 +197,7 @@ class PendingRequest:
     deadline_at: Optional[float] = None
     admission_index: int = -1
     redispatches: int = 0
+    on_settle: Optional[Callable[["PendingRequest"], None]] = None
     done: Completion = field(default_factory=Completion)
     response: Optional[InferenceResponse] = None
     error: Optional[BaseException] = None
@@ -220,7 +224,9 @@ class PendingRequest:
             if on_win is not None:
                 on_win()
             self.done.set()
-            return True
+        if self.on_settle is not None:
+            self.on_settle(self)
+        return True
 
     def fail(self, error: BaseException) -> bool:
         with self._settle_lock:
@@ -228,7 +234,9 @@ class PendingRequest:
                 return False
             self.error = error
             self.done.set()
-            return True
+        if self.on_settle is not None:
+            self.on_settle(self)
+        return True
 
 
 #: queue sentinel that wakes a shard worker up for shutdown

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -98,8 +98,13 @@ def atomic_write_text(path: PathLike, text: str, fsync: bool = False) -> Path:
     return path
 
 
-def save_json(obj: Any, path: PathLike, indent: int = 2) -> Path:
+def save_json(obj: Any, path: PathLike, indent: Optional[int] = None) -> Path:
     """Serialise ``obj`` to a JSON file, creating parent directories.
+
+    The default is compact: any ``indent`` makes :mod:`json` drop its C
+    encoder for the pure-Python one, which more than doubles the time to
+    encode the nested float lists of caches and artifacts.  Pass
+    ``indent=2`` only for a file a person reads.
 
     The write is **atomic** (see :func:`atomic_write_text`): a crash
     mid-write (killed pipeline run, out-of-disk during an export) never

@@ -21,6 +21,7 @@ from repro.serve import (
     FaultEvent,
     FaultPlan,
     InferenceFailed,
+    InferenceResponse,
     InferenceServer,
     InjectedCrash,
     PoisonedRequest,
@@ -109,6 +110,87 @@ class TestCompletion:
         assert not request.fail(ServerClosed("again"))
         assert request.done.wait(timeout=1)
         assert isinstance(request.error, ServerClosed) and request.response is None
+
+
+class TestSettleHook:
+    """``on_settle`` fires once per settled request, after the settle."""
+
+    @staticmethod
+    def _request(features, hook):
+        return PendingRequest(
+            features=features, groups={}, labels=None, enqueued_at=0.0, on_settle=hook
+        )
+
+    @staticmethod
+    def _response():
+        return InferenceResponse(
+            predictions=np.zeros(1, dtype=np.int64),
+            consensus_mask=np.ones(1, dtype=bool),
+        )
+
+    def test_finish_calls_the_hook_once(self, serving_features):
+        calls = []
+        request = self._request(serving_features[:1], calls.append)
+        assert request.finish(self._response())
+        assert calls == [request]
+        assert not request.finish(self._response())
+        assert not request.fail(ServerClosed("late"))
+        assert calls == [request]
+
+    def test_fail_calls_the_hook_once_and_a_late_finish_does_not(
+        self, serving_features
+    ):
+        calls = []
+        request = self._request(serving_features[:1], calls.append)
+        assert request.fail(ServerClosed("closed"))
+        # an abandoned shard's late answer loses and stays silent
+        assert not request.finish(self._response())
+        assert calls == [request]
+        assert isinstance(request.error, ServerClosed) and request.response is None
+
+    def test_hook_runs_settled_and_outside_the_settle_lock(self, serving_features):
+        seen = []
+
+        def hook(request):
+            free = request._settle_lock.acquire(blocking=False)
+            if free:
+                request._settle_lock.release()
+            seen.append((free, request.done.is_set()))
+
+        self._request(serving_features[:1], hook).finish(self._response())
+        self._request(serving_features[:1], hook).fail(ServerClosed("closed"))
+        assert seen == [(True, True), (True, True)]
+
+    def test_redispatched_request_calls_the_hook_once(
+        self, bound_model, serving_features, direct_predictions
+    ):
+        plan = FaultPlan([FaultEvent(kind="crash_shard", shard=0, at_batch=0)])
+        server = make_server(
+            bound_model,
+            num_shards=2,
+            fault_plan=plan,
+            restart_backoff_ms=10.0,
+            supervise_interval_ms=5.0,
+        )
+        calls = []
+        pending = [
+            server.submit(serving_features[i : i + 1], on_settle=calls.append)
+            for i in range(16)
+        ]
+        server.start()
+        try:
+            for i, request in enumerate(pending):
+                assert request.done.wait(timeout=30), f"request {i} hung"
+                assert request.error is None
+                np.testing.assert_array_equal(
+                    request.response.predictions, direct_predictions[i : i + 1]
+                )
+            # the hook runs just after done is set, on the settling thread
+            assert wait_until(lambda: len(calls) == len(pending))
+            assert sorted(map(id, calls)) == sorted(map(id, pending))
+            assert any(request.redispatches for request in pending)
+        finally:
+            server.stop()
 
 
 # ----------------------------------------------------------------------
