@@ -71,11 +71,15 @@ DEFAULT_BACKEND = "numpy-float64"
 #: integer-valued reductions (group correct counts are exact integers
 #: < 2^24, representable exactly in float32) are expected (near-)exact.
 TOLERANCES: Dict[str, Tuple[float, float]] = {
-    "head_weights": (5e-2, 5e-3),   # trained parameters; calibrated for
-                                    # ~10-epoch training — longer runs drift
-                                    # chaotically in *weight* space (minibatch
-                                    # SGD amplifies rounding) while the loss
-                                    # curve stays in contract
+    "head_weights": (5e-2, 5e-3),   # trained parameters; calibrated on
+                                    # one-hidden-layer heads trained ~10
+                                    # epochs — longer runs drift chaotically
+                                    # in *weight* space (minibatch SGD
+                                    # amplifies rounding) while the loss
+                                    # curve stays in contract.  Deeper heads
+                                    # are not covered: a three-layer
+                                    # LeakyReLU head ends 2.8e-2 (abs) off
+                                    # float64 after 10 epochs
     "loss_curve": (5e-2, 1e-4),     # per-epoch recorded losses
     "logits": (1e-3, 1e-5),         # one forward pass
     "probabilities": (1e-3, 1e-5),  # softmax / body-output matrices

@@ -17,6 +17,8 @@ Durability model:
   one self-contained line per completed episode batch (the batch's
   ``(candidate, seed)`` keys plus the full serialised
   :class:`~repro.core.EpisodeRecord` list, trained head weights included).
+  Every batch line starts ``{"batch":N,"episodes":M,`` so a progress probe
+  reads the counts without decoding the records.
   Each line is appended with a single ``write`` + ``fsync``, and the
   reader tolerates a truncated final line — a SIGKILL mid-append costs at
   most the batch being written, never the batches before it.  On resume
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -56,7 +59,13 @@ _TRANSITIONS = {
     "cancelled": set(),
 }
 
-JOURNAL_FORMAT = "muffin-episode-journal-v1"
+#: v2 lines start with their counts (see :func:`_entry_line`); a journal
+#: of another format resets on open and its batches are recomputed
+JOURNAL_FORMAT = "muffin-episode-journal-v2"
+
+#: the fixed prefix of a v2 batch line, as :meth:`EpisodeJournal.progress`
+#: reads it
+_ENTRY_PREFIX = re.compile(rb'\{"batch":(\d+),"episodes":(\d+),')
 
 
 class StatusTransitionError(RuntimeError):
@@ -239,7 +248,8 @@ class EpisodeJournal:
                         not isinstance(payload, dict)
                         or payload.get("batch") != len(entries)
                         or "keys" not in payload
-                        or "records" not in payload
+                        or not isinstance(payload.get("records"), list)
+                        or payload.get("episodes") != len(payload["records"])
                     ):
                         break  # out-of-order or foreign line: drop the tail
                     entries.append(payload)
@@ -261,7 +271,7 @@ class EpisodeJournal:
         """Atomically rewrite the file as header + trusted entries."""
         self.close()
         lines = [json.dumps({"format": JOURNAL_FORMAT, "fingerprint": self.fingerprint})]
-        lines.extend(json.dumps(entry, separators=(",", ":")) for entry in self._entries)
+        lines.extend(_entry_line(entry) for entry in self._entries)
         atomic_write_text(self.path, "\n".join(lines) + "\n", fsync=True)
 
     # ------------------------------------------------------------------
@@ -311,7 +321,7 @@ class EpisodeJournal:
             "records": [record.to_dict(include_state=True) for record in records],
         }
         handle = self._open_append()
-        handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        handle.write(_entry_line(entry) + "\n")
         handle.flush()
         os.fsync(handle.fileno())
         self._entries.append(entry)
@@ -330,19 +340,41 @@ class EpisodeJournal:
     # ------------------------------------------------------------------
     @classmethod
     def progress(cls, path: PathLike) -> Dict[str, int]:
-        """Cheap read-only progress probe (batches/episodes completed)."""
-        path = Path(path)
+        """Read-only progress probe (batches/episodes completed).
+
+        Reads the counts from the ``{"batch":N,"episodes":M,`` prefix of
+        each complete (newline-terminated) batch line and decodes no
+        record, so polling a run costs it little.  The count ends at a
+        torn last line, a foreign line or a batch out of order.
+        """
+        try:
+            data = Path(path).read_bytes()
+        except FileNotFoundError:
+            return {"batches": 0, "episodes": 0}
         batches = episodes = 0
-        if path.exists():
-            with open(path, "r", encoding="utf-8", errors="replace") as handle:
-                for index, line in enumerate(handle):
-                    if index == 0 or not line.strip():
-                        continue
-                    try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(payload, dict) and "records" in payload:
-                        batches += 1
-                        episodes += len(payload["records"])
+        start = data.find(b"\n") + 1  # the first line is the header
+        while start:
+            end = data.find(b"\n", start)
+            if end < 0:
+                break  # torn by a crash mid-append (or the end of the file)
+            match = _ENTRY_PREFIX.match(data, start, end)
+            if match is None or int(match[1]) != batches:
+                break
+            batches += 1
+            episodes += int(match[2])
+            start = end + 1
         return {"batches": batches, "episodes": episodes}
+
+
+def _entry_line(entry: Mapping[str, object]) -> str:
+    """One batch's journal line, counts first (what ``progress`` reads)."""
+    records = entry["records"]
+    return json.dumps(
+        {
+            "batch": entry["batch"],
+            "episodes": len(records),
+            "keys": entry["keys"],
+            "records": records,
+        },
+        separators=(",", ":"),
+    )

@@ -23,7 +23,7 @@ import json
 import pickle
 import socket
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 #: frame-size guard: a single message beyond this is a protocol bug, not a
 #: workload (the largest legitimate payloads are episode-batch task arrays)
@@ -49,14 +49,19 @@ def decode_payload(text: str) -> Any:
         raise ProtocolError(f"cannot decode message payload: {exc}") from exc
 
 
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Write one length-prefixed JSON message to ``sock``."""
+def encode_message(message: Dict[str, Any]) -> bytes:
+    """One length-prefixed frame carrying ``message``."""
     body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_MESSAGE_BYTES:
         raise ProtocolError(
             f"refusing to send a {len(body)}-byte message (limit {MAX_MESSAGE_BYTES})"
         )
-    sock.sendall(_LENGTH.pack(len(body)) + body)
+    return _LENGTH.pack(len(body)) + body
+
+
+def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
+    """Write one length-prefixed JSON message to ``sock``."""
+    sock.sendall(encode_message(message))
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -81,12 +86,39 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     header = _recv_exactly(sock, _LENGTH.size)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"peer announced a {length}-byte message (limit {MAX_MESSAGE_BYTES})")
-    body = _recv_exactly(sock, length)
+    body = _recv_exactly(sock, _body_length(header))
     if body is None:
         raise ProtocolError("connection closed between frame header and body")
+    return _decode_body(body)
+
+
+def pop_message(buffer: bytearray) -> Optional[Dict[str, Any]]:
+    """Take the first whole frame off ``buffer`` and return its message.
+
+    For a non-blocking reader that accumulates a connection's input in
+    ``buffer``: returns ``None`` (and leaves the buffer alone) until a
+    whole frame has arrived, and raises :class:`ProtocolError` for an
+    oversized announcement or a malformed body, like :func:`recv_message`.
+    """
+    if len(buffer) < _LENGTH.size:
+        return None
+    end = _LENGTH.size + _body_length(buffer)
+    if len(buffer) < end:
+        return None
+    body = bytes(buffer[_LENGTH.size : end])
+    del buffer[:end]
+    return _decode_body(body)
+
+
+def _body_length(header: Union[bytes, bytearray]) -> int:
+    """The body length a frame header announces, checked against the limit."""
+    (length,) = _LENGTH.unpack_from(header)
+    if length > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"peer announced a {length}-byte message (limit {MAX_MESSAGE_BYTES})")
+    return length
+
+
+def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

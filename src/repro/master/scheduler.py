@@ -7,7 +7,9 @@ episode-batch evaluations out to supervised worker subprocesses through the
 cancel``) talk to it over the length-prefixed JSON protocol of
 :mod:`repro.master.protocol`; the control channel is **pure JSON** — a
 client can submit specs and query statuses but never ships pickled code to
-the master.
+the master.  One :mod:`selectors` loop on one thread serves every client
+connection, with non-blocking reads and writes, so a silent or slow client
+delays no one and a status poll starts no thread.
 
 Crash story, end to end:
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import os
+import selectors
 import socket
 import threading
 import time
@@ -43,13 +46,21 @@ from ..obs import METRICS
 from ..utils.logging import RunLogger
 from ..utils.serialization import save_json
 from .db import TERMINAL_STATUSES, EpisodeJournal, RunDatabase
-from .protocol import ProtocolError, recv_message, send_message
+from .protocol import ProtocolError, encode_message, pop_message
 
 PathLike = Union[str, Path]
 
 #: name of the endpoint file the master writes inside its database root so
 #: clients can discover the host/port from ``--db`` alone
 ENDPOINT_FILE = "master.json"
+
+#: a client connection that moves no byte for this long is closed
+_IDLE_S = 30.0
+#: the client loop's longest sleep: how soon it sees ``stop()`` and an
+#: idle connection's deadline
+_TICK_S = 0.2
+#: bytes read per ``recv`` call
+_RECV_BYTES = 64 * 1024
 
 #: Run-lifecycle events, labelled exactly like the RunLogger event names
 #: (run-submitted / run-claimed / run-requeued / run-finished / run-failed /
@@ -168,6 +179,20 @@ class MasterConfig:
             raise ValueError("max_workers must be positive (or None for auto)")
 
 
+class _Client:
+    """One client connection of the master's selector loop."""
+
+    __slots__ = ("sock", "inbuf", "out", "deadline", "events", "closing")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.inbuf = bytearray()  # bytes read, not yet a whole frame
+        self.out = bytearray()  # encoded answers not yet written
+        self.deadline = time.perf_counter() + _IDLE_S
+        self.events = selectors.EVENT_READ
+        self.closing = False  # malformed input: close once ``out`` is written
+
+
 class MasterServer:
     """The master daemon: run database + scheduler + client listener."""
 
@@ -177,6 +202,7 @@ class MasterServer:
         self.scheduler = RunScheduler()
         self.logger = RunLogger(name="muffin-master", verbose=self.config.verbose)
         self._listener: Optional[socket.socket] = None
+        self._selector: Optional[selectors.BaseSelector] = None
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._started = False
@@ -202,8 +228,10 @@ class MasterServer:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
         listener.listen(16)
-        listener.settimeout(0.2)
+        listener.setblocking(False)
         self._listener = listener
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ, None)
         self.host, self.port = listener.getsockname()[:2]
         save_json(
             {"host": self.host, "port": self.port, "pid": os.getpid(), "started_at": time.time()},
@@ -211,7 +239,7 @@ class MasterServer:
         )
         self._stopping.clear()
         self._threads = [
-            threading.Thread(target=self._accept_loop, name="muffin-master-accept", daemon=True),
+            threading.Thread(target=self._client_loop, name="muffin-master-listener", daemon=True),
             threading.Thread(target=self._run_loop, name="muffin-master-runs", daemon=True),
         ]
         for thread in self._threads:
@@ -229,6 +257,12 @@ class MasterServer:
         for thread in self._threads:
             thread.join(timeout=60.0)
         self._threads = []
+        if self._selector is not None:
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    self._drop(key.data)
+            self._selector.close()
+            self._selector = None
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -392,41 +426,97 @@ class MasterServer:
     # ------------------------------------------------------------------
     # Client protocol
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
+    def _client_loop(self) -> None:
+        """Serve every client connection until ``stop()``: one thread, one
+        :mod:`selectors` loop, each connection with its own buffers and
+        idle deadline."""
+        selector = self._selector
         while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_client, args=(conn,), name="muffin-master-client", daemon=True
-            ).start()
+            for key, mask in selector.select(_TICK_S):
+                client = key.data
+                if client is None:
+                    self._accept()
+                elif mask & selectors.EVENT_READ:
+                    self._on_readable(client)
+                else:
+                    self._flush(client)
+            now = time.perf_counter()
+            for key in list(selector.get_map().values()):
+                if key.data is not None and key.data.deadline <= now:
+                    self._drop(key.data)
 
-    def _serve_client(self, conn: socket.socket) -> None:
-        conn.settimeout(30.0)
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:  # e.g. out of file descriptors: retried next wake-up
+                self.logger.event("accept-failed", error=str(exc))
+                return
+            sock.setblocking(False)
+            client = _Client(sock)
+            self._selector.register(sock, client.events, client)
+
+    def _on_readable(self, client: _Client) -> None:
+        try:
+            chunk = client.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(client)
+            return
+        if not chunk:
+            self._drop(client)  # the client closed its end
+            return
+        client.deadline = time.perf_counter() + _IDLE_S
+        client.inbuf += chunk
         try:
             while True:
-                try:
-                    request = recv_message(conn)
-                except (ProtocolError, socket.timeout, OSError):
-                    return
+                request = pop_message(client.inbuf)
                 if request is None:
-                    return
-                try:
-                    response = self._handle_request(request)
-                except Exception as exc:
-                    response = {"type": "error", "error": f"{type(exc).__name__}: {exc}"}
-                try:
-                    send_message(conn, response)
-                except OSError:
-                    return
-        finally:
+                    break
+                client.out += self._respond(request)
+        except ProtocolError:
+            # Oversized or malformed frame: this connection ends once the
+            # answers to its earlier requests are written; the others go on.
+            client.closing = True
+        self._flush(client)
+
+    def _respond(self, request: Dict[str, object]) -> bytes:
+        """The encoded answer to one request; a failure answers as an error."""
+        try:
+            return encode_message(self._handle_request(request))
+        except Exception as exc:
+            return encode_message({"type": "error", "error": f"{type(exc).__name__}: {exc}"})
+
+    def _flush(self, client: _Client) -> None:
+        """Write what the socket takes now; read again once all is written."""
+        if client.out:
             try:
-                conn.close()
+                sent = client.sock.send(client.out)
+            except BlockingIOError:
+                sent = 0
             except OSError:
-                pass
+                self._drop(client)
+                return
+            if sent:
+                del client.out[:sent]
+                client.deadline = time.perf_counter() + _IDLE_S
+        if client.out:
+            events = selectors.EVENT_WRITE  # no new request until this is written
+        elif client.closing:
+            self._drop(client)
+            return
+        else:
+            events = selectors.EVENT_READ
+        if events != client.events:
+            self._selector.modify(client.sock, events, client)
+            client.events = events
+
+    def _drop(self, client: _Client) -> None:
+        self._selector.unregister(client.sock)
+        client.sock.close()
 
     def _handle_request(self, request: Dict[str, object]) -> Dict[str, object]:
         kind = request.get("type")

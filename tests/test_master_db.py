@@ -214,6 +214,54 @@ class TestEpisodeJournal:
             journal.append(0, _keys(records), records)
         assert EpisodeJournal.progress(path) == {"batches": 1, "episodes": 2}
 
+    def test_progress_decodes_no_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.jsonl"
+        with EpisodeJournal(path) as journal:
+            records = [_record(0), _record(1, seed=5)]
+            journal.append(0, _keys(records), records)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"batch":1,"episodes":3,"keys":[not json at all\n')
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("progress decoded a journal line")
+
+        monkeypatch.setattr(json, "loads", no_decode)
+        assert EpisodeJournal.progress(path) == {"batches": 2, "episodes": 5}
+
+    def test_progress_stops_at_torn_last_line(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with EpisodeJournal(path) as journal:
+            journal.append(0, _keys([_record(0)]), [_record(0)])
+            journal.append(1, _keys([_record(1)]), [_record(1)])
+        raw = path.read_bytes()
+        last = raw.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        # Torn after its prefix, or with only the newline missing: a crash
+        # mid-append leaves no newline, so neither counts.
+        for cut in (1, 40, len(last) - 10):
+            path.write_bytes(raw[:-cut])
+            assert EpisodeJournal.progress(path) == {"batches": 1, "episodes": 1}
+
+    def test_v1_journal_resets_on_open(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        records = [_record(0)]
+        v1_entry = {
+            "batch": 0,
+            "keys": _keys(records),
+            "records": [r.to_dict(include_state=True) for r in records],
+        }
+        path.write_text(
+            json.dumps({"format": "muffin-episode-journal-v1", "fingerprint": {}})
+            + "\n"
+            + json.dumps(v1_entry, separators=(",", ":"))
+            + "\n"
+        )
+        journal = EpisodeJournal(path)
+        assert journal.batches == 0
+        assert journal.lookup(0, _keys(records)) is None
+        assert EpisodeJournal.progress(path) == {"batches": 0, "episodes": 0}
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["format"] == "muffin-episode-journal-v2"
+
     def test_header_written_on_creation(self, tmp_path):
         path = tmp_path / "j.jsonl"
         EpisodeJournal(path, fingerprint={"search": "x"})
