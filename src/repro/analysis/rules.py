@@ -408,7 +408,8 @@ class AtomicPersistenceRule(FileRule):
 # ----------------------------------------------------------------------
 @LINT_RULES.register("RL6")
 class LockHygieneRule(FileRule):
-    """Blocking calls while holding a ``threading.Lock`` in serve/ or master/."""
+    """Blocking calls while holding a ``threading.Lock`` in serve/, master/
+    or utils/ (the connection loop both servers run on)."""
 
     code = "RL6"
     name = "lock-hygiene"
@@ -418,7 +419,7 @@ class LockHygieneRule(FileRule):
     )
 
     #: only the genuinely multithreaded packages are in scope
-    SCOPE_DIRS = ("src/repro/serve/", "src/repro/master/")
+    SCOPE_DIRS = ("src/repro/serve/", "src/repro/master/", "src/repro/utils/")
 
     #: lock-name substrings that declare an I/O-serialisation lock (exempt:
     #: serialising writes on one socket/file is the lock's whole purpose)
@@ -714,9 +715,10 @@ class FailureDisciplineRule(FileRule):
         "(overload is shed with a typed error, not absorbed into latency)"
     )
 
-    #: only the supervised concurrent tiers are in scope — everywhere else a
-    #: broad except is an application-level judgement call
-    SCOPE_DIRS = ("src/repro/serve/", "src/repro/master/")
+    #: only the supervised concurrent tiers (and utils/, home of the
+    #: connection loop they serve on) are in scope — everywhere else a broad
+    #: except is an application-level judgement call
+    SCOPE_DIRS = ("src/repro/serve/", "src/repro/master/", "src/repro/utils/")
 
     #: constructors that buffer work; unbounded means overload turns into
     #: unbounded memory + latency instead of fast rejection

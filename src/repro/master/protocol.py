@@ -121,7 +121,8 @@ def _body_length(header: Union[bytes, bytearray]) -> int:
 def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested too deeply for the decoder
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(f"expected a JSON object frame, got {type(message).__name__}")

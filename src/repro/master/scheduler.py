@@ -1,15 +1,18 @@
 """The priority run queue and the master daemon that drives it.
 
 A :class:`MasterServer` owns one :class:`~repro.master.db.RunDatabase` and
-executes submitted runs one at a time in priority order, farming each run's
-episode-batch evaluations out to supervised worker subprocesses through the
-``distributed`` executor.  Clients (``python -m repro submit/status/watch/
-cancel``) talk to it over the length-prefixed JSON protocol of
+executes submitted runs one at a time in priority order, with the
+``distributed`` executor by default.  Under the default fused head training
+a run's search trains its heads in process and hands no task to a worker;
+only a ``use_fused=False`` run farms its episode-batch evaluations out to
+supervised worker subprocesses.  Clients (``python -m repro submit/status/
+watch/cancel``) talk to it over the length-prefixed JSON protocol of
 :mod:`repro.master.protocol`; the control channel is **pure JSON** — a
 client can submit specs and query statuses but never ships pickled code to
-the master.  One :mod:`selectors` loop on one thread serves every client
-connection, with non-blocking reads and writes, so a silent or slow client
-delays no one and a status poll starts no thread.
+the master.  The connection loop of :mod:`repro.utils.connloop` serves every
+client connection on one thread, with non-blocking reads and writes, so a
+silent or slow client delays no one and a status poll starts no thread;
+this module supplies only the frame codec calls and the request handler.
 
 Crash story, end to end:
 
@@ -29,8 +32,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import os
-import selectors
-import socket
 import threading
 import time
 import traceback
@@ -43,6 +44,7 @@ from ..api.pipeline import MuffinPipeline
 from ..api.spec import RunSpec, SpecError
 from ..core.search import SearchInterrupted
 from ..obs import METRICS
+from ..utils.connloop import Connection, ConnLoop
 from ..utils.logging import RunLogger
 from ..utils.serialization import save_json
 from .db import TERMINAL_STATUSES, EpisodeJournal, RunDatabase
@@ -56,11 +58,6 @@ ENDPOINT_FILE = "master.json"
 
 #: a client connection that moves no byte for this long is closed
 _IDLE_S = 30.0
-#: the client loop's longest sleep: how soon it sees ``stop()`` and an
-#: idle connection's deadline
-_TICK_S = 0.2
-#: bytes read per ``recv`` call
-_RECV_BYTES = 64 * 1024
 
 #: Run-lifecycle events, labelled exactly like the RunLogger event names
 #: (run-submitted / run-claimed / run-requeued / run-finished / run-failed /
@@ -179,20 +176,6 @@ class MasterConfig:
             raise ValueError("max_workers must be positive (or None for auto)")
 
 
-class _Client:
-    """One client connection of the master's selector loop."""
-
-    __slots__ = ("sock", "inbuf", "out", "deadline", "events", "closing")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.inbuf = bytearray()  # bytes read, not yet a whole frame
-        self.out = bytearray()  # encoded answers not yet written
-        self.deadline = time.perf_counter() + _IDLE_S
-        self.events = selectors.EVENT_READ
-        self.closing = False  # malformed input: close once ``out`` is written
-
-
 class MasterServer:
     """The master daemon: run database + scheduler + client listener."""
 
@@ -201,9 +184,8 @@ class MasterServer:
         self.db = RunDatabase(self.config.db_root)
         self.scheduler = RunScheduler()
         self.logger = RunLogger(name="muffin-master", verbose=self.config.verbose)
-        self._listener: Optional[socket.socket] = None
-        self._selector: Optional[selectors.BaseSelector] = None
-        self._threads: List[threading.Thread] = []
+        self._loop: Optional[ConnLoop] = None
+        self._runs: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._started = False
         self.host: Optional[str] = None
@@ -224,26 +206,18 @@ class MasterServer:
             self._run_event("run-requeued", rid=rid, reason="master restart")
         for entry in self.db.pending_runs():
             self.scheduler.submit(int(entry["rid"]), int(entry.get("priority", 0)))
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.port))
-        listener.listen(16)
-        listener.setblocking(False)
-        self._listener = listener
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ, None)
-        self.host, self.port = listener.getsockname()[:2]
+        self._loop = ConnLoop(
+            self.config.host, self.config.port, 16, self._on_input, self._on_deadline
+        )
+        self.host, self.port = self._loop.address
         save_json(
             {"host": self.host, "port": self.port, "pid": os.getpid(), "started_at": time.time()},
             self.endpoint_path,
         )
         self._stopping.clear()
-        self._threads = [
-            threading.Thread(target=self._client_loop, name="muffin-master-listener", daemon=True),
-            threading.Thread(target=self._run_loop, name="muffin-master-runs", daemon=True),
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._loop.start("muffin-master-listener")
+        self._runs = threading.Thread(target=self._run_loop, name="muffin-master-runs", daemon=True)
+        self._runs.start()
         self._started = True
         self.logger.event(
             "master-started", host=self.host, port=self.port, queued=len(self.scheduler)
@@ -254,18 +228,10 @@ class MasterServer:
         if not self._started:
             return
         self._stopping.set()
-        for thread in self._threads:
-            thread.join(timeout=60.0)
-        self._threads = []
-        if self._selector is not None:
-            for key in list(self._selector.get_map().values()):
-                if key.data is not None:
-                    self._drop(key.data)
-            self._selector.close()
-            self._selector = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        self._loop.stop()
+        self._runs.join(timeout=60.0)
+        self._loop.join()
+        self._loop.close()
         try:
             self.endpoint_path.unlink()
         except FileNotFoundError:
@@ -426,62 +392,28 @@ class MasterServer:
     # ------------------------------------------------------------------
     # Client protocol
     # ------------------------------------------------------------------
-    def _client_loop(self) -> None:
-        """Serve every client connection until ``stop()``: one thread, one
-        :mod:`selectors` loop, each connection with its own buffers and
-        idle deadline."""
-        selector = self._selector
-        while not self._stopping.is_set():
-            for key, mask in selector.select(_TICK_S):
-                client = key.data
-                if client is None:
-                    self._accept()
-                elif mask & selectors.EVENT_READ:
-                    self._on_readable(client)
-                else:
-                    self._flush(client)
-            now = time.perf_counter()
-            for key in list(selector.get_map().values()):
-                if key.data is not None and key.data.deadline <= now:
-                    self._drop(key.data)
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except BlockingIOError:
-                return
-            except OSError as exc:  # e.g. out of file descriptors: retried next wake-up
-                self.logger.event("accept-failed", error=str(exc))
-                return
-            sock.setblocking(False)
-            client = _Client(sock)
-            self._selector.register(sock, client.events, client)
-
-    def _on_readable(self, client: _Client) -> None:
-        try:
-            chunk = client.sock.recv(_RECV_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._drop(client)
-            return
-        if not chunk:
-            self._drop(client)  # the client closed its end
-            return
-        client.deadline = time.perf_counter() + _IDLE_S
-        client.inbuf += chunk
+    def _on_input(self, conn: Connection) -> None:
+        """Answer every whole frame ``conn`` has sent, in order."""
+        if conn.deadline is None:  # just accepted
+            self._loop.set_deadline(conn, conn.active + _IDLE_S)
         try:
             while True:
-                request = pop_message(client.inbuf)
+                request = pop_message(conn.inbuf)
                 if request is None:
-                    break
-                client.out += self._respond(request)
+                    return
+                self._loop.send(conn, self._respond(request))
         except ProtocolError:
             # Oversized or malformed frame: this connection ends once the
             # answers to its earlier requests are written; the others go on.
-            client.closing = True
-        self._flush(client)
+            self._loop.send(conn, last=True)
+
+    def _on_deadline(self, conn: Connection) -> None:
+        """Close ``conn`` once it has moved no byte for ``_IDLE_S``."""
+        idle_until = conn.active + _IDLE_S
+        if idle_until > time.perf_counter():
+            self._loop.set_deadline(conn, idle_until)
+        else:
+            self._loop.drop(conn)
 
     def _respond(self, request: Dict[str, object]) -> bytes:
         """The encoded answer to one request; a failure answers as an error."""
@@ -489,34 +421,6 @@ class MasterServer:
             return encode_message(self._handle_request(request))
         except Exception as exc:
             return encode_message({"type": "error", "error": f"{type(exc).__name__}: {exc}"})
-
-    def _flush(self, client: _Client) -> None:
-        """Write what the socket takes now; read again once all is written."""
-        if client.out:
-            try:
-                sent = client.sock.send(client.out)
-            except BlockingIOError:
-                sent = 0
-            except OSError:
-                self._drop(client)
-                return
-            if sent:
-                del client.out[:sent]
-                client.deadline = time.perf_counter() + _IDLE_S
-        if client.out:
-            events = selectors.EVENT_WRITE  # no new request until this is written
-        elif client.closing:
-            self._drop(client)
-            return
-        else:
-            events = selectors.EVENT_READ
-        if events != client.events:
-            self._selector.modify(client.sock, events, client)
-            client.events = events
-
-    def _drop(self, client: _Client) -> None:
-        self._selector.unregister(client.sock)
-        client.sock.close()
 
     def _handle_request(self, request: Dict[str, object]) -> Dict[str, object]:
         kind = request.get("type")

@@ -143,6 +143,9 @@ class TestLockHygieneRule:
     def test_out_of_scope_paths_are_ignored(self):
         assert self._findings(rel="src/repro/core/search.py") == []
 
+    def test_utils_scope_also_fires(self):
+        assert self._findings(rel="src/repro/utils/connloop.py")
+
 
 class TestDtypeDisciplineRule:
     def _findings(self, rel="src/repro/nn/fused.py"):
@@ -273,6 +276,9 @@ class TestFailureDisciplineRule:
 
     def test_master_scope_also_fires(self):
         assert self._findings(rel="src/repro/master/worker.py")
+
+    def test_utils_scope_also_fires(self):
+        assert self._findings(rel="src/repro/utils/connloop.py")
 
     def test_out_of_scope_paths_are_ignored(self):
         assert self._findings(rel="src/repro/core/search.py") == []

@@ -106,6 +106,15 @@ class TestListener:
         finally:
             good.close()
 
+    def test_too_deeply_nested_frame_closes_only_its_own_connection(self, server):
+        nested = _connect(server)
+        try:
+            nested.sendall(struct.pack(">I", 100_000) + b"[" * 100_000)
+            assert nested.recv(1) == b""  # closed by the master
+        finally:
+            nested.close()
+        assert _client(server).ping()["type"] == "pong"
+
     def test_two_requests_on_one_connection_are_both_answered(self, server):
         sock = _connect(server)
         try:

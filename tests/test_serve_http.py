@@ -267,6 +267,14 @@ class TestSelectorLoop:
         assert status == 400
         assert "error" in json.loads(body)
 
+    def test_too_deeply_nested_body_is_400(self, gated):
+        httpd, _ = gated
+        body = b"[" * 100_000
+        head = f"POST /predict HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n"
+        status, _, reply = exchange(httpd, head.encode("ascii") + body)
+        assert status == 400
+        assert "recursion" in json.loads(reply)["error"]
+
     def test_bad_request_line_is_400_and_unknown_method_501(self, gated):
         httpd, _ = gated
         assert exchange(httpd, b"NONSENSE\r\n\r\n")[0] == 400
